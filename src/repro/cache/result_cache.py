@@ -110,11 +110,16 @@ class ResultCache:
             )
         if not 0.0 < max_entry_fraction <= 1.0:
             raise ValueError("max_entry_fraction must be in (0, 1]")
+        from repro.query.subsume import ProviderIndex  # deferred: layering
+
         self.sim = sim
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.max_entry_fraction = max_entry_fraction
         self._entries: dict[tuple, CacheEntry] = {}  # insertion-ordered
+        # The entries with a node, indexed for fold search (shape buckets,
+        # predicates parsed once); only they can serve a partial hit.
+        self._providers = ProviderIndex()
         self._filling: set[tuple] = set()  # keys with an in-flight fill
         self._bytes = 0.0
         self._tick = 0  # logical clock: deterministic LRU / tie-breaks
@@ -149,6 +154,16 @@ class ResultCache:
     def contains_any(self, keys: Iterable[tuple]) -> bool:
         return any(k in self._entries for k in keys)
 
+    def _fold_candidates(self, sig: tuple, shape: tuple) -> tuple[list[CacheEntry], int]:
+        """The entries a fold search over ``sig`` tests -- its shape bucket
+        minus the exact key -- plus how many candidates a linear scan of
+        every entry with a node would have examined (the billed count)."""
+        n = len(self._providers)
+        exact = self._entries.get(sig)
+        if exact is not None and exact.node is not None:
+            n -= 1
+        return self._providers.bucket(shape, exclude=sig), n
+
     def probe_subsuming(self, node) -> tuple[CacheEntry, "FoldPlan", int] | None:
         """Partial-hit probe: the cheapest entry whose recorded plan
         *subsumes* ``node`` (repro.query.subsume), as ``(entry, fold plan,
@@ -156,18 +171,19 @@ class ResultCache:
         missed, so it never shadows a direct hit.  Ranking: fewest residual
         terms and no roll-up first, then smallest entry with the highest
         benefit-per-byte (cheapest to replay, most worth keeping hot), then
-        insertion order."""
+        insertion order.  Only ``node``'s shape bucket is tested; the rest
+        are billed as examined, exactly as a scan of every entry would."""
         from repro.query.subsume import FoldPlanner  # deferred: layering
 
         planner = FoldPlanner(node)
-        sig = node.signature
-        for entry in self._entries.values():
-            if entry.node is None or entry.key == sig:
-                continue
+        tested, candidates = self._fold_candidates(node.signature, planner.shape)
+        planner.skip(candidates - len(tested))
+        for entry in tested:
             planner.consider(
                 entry.node,
                 entry,
                 tie_break=(entry.nbytes, -entry.benefit_per_byte(), entry.seq),
+                provider_maps=self._providers.parses,
             )
         best = planner.best()
         if best is None:
@@ -183,15 +199,14 @@ class ResultCache:
     def has_subsuming(self, node) -> bool:
         """Silent fold-hit test (no counters) -- the routing layer's
         "would folding likely serve this query from cache?" probe."""
-        from repro.query.subsume import fold_plan  # deferred: layering
+        from repro.query.subsume import constraint_maps, fold_plan, shape_key
 
-        sig = node.signature
-        for entry in self._entries.values():
-            if entry.node is None or entry.key == sig:
-                continue
-            if fold_plan(node, entry.node) is not None:
-                return True
-        return False
+        tested, _ = self._fold_candidates(node.signature, shape_key(node))
+        if not tested:
+            return False
+        maps = constraint_maps(node)
+        parses = self._providers.parses
+        return any(fold_plan(node, e.node, parses, maps) is not None for e in tested)
 
     # -- fills ----------------------------------------------------------
     def begin_fill(self, key: tuple) -> bool:
@@ -225,15 +240,18 @@ class ResultCache:
             self.rejected += 1
             self.sim.metrics.bump("result_cache_rejected")
             return False
-        old = self._entries.pop(key, None)
+        old = self._entries.get(key)
         if old is not None:
-            self._bytes -= old.nbytes
+            self._drop(old)
         while self._bytes + nbytes > self.capacity_bytes and self._entries:
             self._evict_one()
         self._tick += 1
-        self._entries[key] = CacheEntry(
+        entry = CacheEntry(
             key, batches, nbytes, cost_seconds, tables, stage, self._tick, node=node
         )
+        if node is not None:
+            self._providers.add(key, node, entry)
+        self._entries[key] = entry
         self._bytes += nbytes
         self.insertions += 1
         self.sim.metrics.bump("result_cache_insertions")
@@ -244,18 +262,24 @@ class ResultCache:
             victim = min(self._entries.values(), key=lambda e: (e.last_used, e.seq))
         else:  # benefit per byte; seq breaks exact-score ties deterministically
             victim = min(self._entries.values(), key=lambda e: (e.benefit_per_byte(), e.seq))
-        del self._entries[victim.key]
-        self._bytes -= victim.nbytes
+        self._drop(victim)
         self.evictions += 1
         self.sim.metrics.bump("result_cache_evictions")
+
+    def _drop(self, entry: CacheEntry) -> None:
+        """Remove ``entry`` from the store, its byte count and the index."""
+        del self._entries[entry.key]
+        self._bytes -= entry.nbytes
+        if entry.node is not None:
+            self._providers.remove(entry.key, entry.node)
 
     # -- invalidation ---------------------------------------------------
     def invalidate_table(self, table_name: str) -> int:
         """Drop every entry whose sub-plan read ``table_name``; returns how
         many were dropped."""
-        dead = [k for k, e in self._entries.items() if table_name in e.tables]
-        for key in dead:
-            self._bytes -= self._entries.pop(key).nbytes
+        dead = [e for e in self._entries.values() if table_name in e.tables]
+        for entry in dead:
+            self._drop(entry)
         if dead:
             self.invalidated += len(dead)
             self.sim.metrics.bump("result_cache_invalidated", len(dead))
@@ -263,6 +287,7 @@ class ResultCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._providers.clear()
         self._bytes = 0.0
 
     # -- introspection --------------------------------------------------

@@ -11,6 +11,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.engine.wop import WindowOfOpportunity
+from repro.query.subsume import shape_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.query.plan import PlanNode, ScanNode
@@ -33,6 +34,7 @@ class Packet:
         "satellites",
         "started_emitting",
         "finished",
+        "_shape",
     )
 
     def __init__(self, node: "PlanNode", query: "Query", stage_name: str, wop: WindowOfOpportunity):
@@ -46,6 +48,15 @@ class Packet:
         self.satellites: list["Packet"] = []
         self.started_emitting = False
         self.finished = False
+        self._shape: tuple | None = None
+
+    @property
+    def shape(self) -> tuple:
+        """The node's fold shape (:func:`repro.query.subsume.shape_key`),
+        computed on first use: only hosts of a consumer's shape can fold it."""
+        if self._shape is None:
+            self._shape = shape_key(self.node)
+        return self._shape
 
     # ------------------------------------------------------------------
     @property

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.query.expr import And, Between, Cmp, Col, Const, Expr, InSet, Not, Or
 from repro.query.plan import (
@@ -66,13 +66,16 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FoldPlan",
     "FoldPlanner",
+    "ProviderIndex",
     "Regroup",
     "ResidualOperator",
     "and_of",
     "conjuncts",
+    "constraint_maps",
     "fold_plan",
     "normalize",
     "predicate_subsumes",
+    "shape_key",
     "split_range",
 ]
 
@@ -239,41 +242,112 @@ def _constraint_map(
     return cols, opaque
 
 
+class _Parsed:
+    """One predicate's conjuncts, parsed once: their signatures, the
+    per-column constraint map and the opaque leftovers.  Read-only after
+    construction, so one parse serves every test that reuses the
+    predicate.  The per-conjunct classification only the *strong* side
+    of a test needs is built on first use."""
+
+    __slots__ = ("expr", "sigs", "cols", "opaque_sigs", "_classified")
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
+        conj = conjuncts(expr)
+        self.sigs = tuple(c.signature for c in conj)
+        self.cols, opaque = _constraint_map(conj)
+        self.opaque_sigs = tuple(o.signature for o in opaque)
+        self._classified: list | None = None
+
+    @property
+    def classified(self) -> list[tuple[Expr, tuple, tuple[str, _Constraint] | None]]:
+        """``(conjunct, signature, classification)`` per conjunct.  Built
+        afresh: ``_constraint_map`` merges into the first conjunct's
+        constraint, so ``cols`` cannot be reused here."""
+        if self._classified is None:
+            conj = conjuncts(self.expr)
+            self._classified = [(c, sig, _classify(c)) for c, sig in zip(conj, self.sigs)]
+        return self._classified
+
+
+def _predicates(node: PlanNode) -> Iterator[Expr]:
+    """Every predicate object in ``node``'s tree: select predicates and
+    CJOIN fact and dimension predicates (once per occurrence)."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, SelectNode):
+            yield n.predicate
+        elif isinstance(n, CJoinNode):
+            if n.fact_predicate is not None:
+                yield n.fact_predicate
+            for d in n.dims:
+                if d.predicate is not None:
+                    yield d.predicate
+        stack.extend(n.children)
+
+
+#: ``id(predicate) -> parse`` for the predicates of one or more plan trees
+#: (:func:`constraint_maps`, :attr:`ProviderIndex.parses`).
+ConstraintMaps = dict[int, _Parsed]
+
+
+def constraint_maps(node: PlanNode) -> ConstraintMaps:
+    """Parse every predicate in ``node``'s tree once.  Keys are object
+    identities, so the maps are valid only while ``node`` is alive: the
+    caller keeps them for one fold search, never in a process-wide memo."""
+    maps: ConstraintMaps = {}
+    for p in _predicates(node):
+        if id(p) not in maps:
+            maps[id(p)] = _Parsed(p)
+    return maps
+
+
+def _parsed(expr: Expr, maps: ConstraintMaps | None) -> _Parsed:
+    if maps is not None:
+        hit = maps.get(id(expr))
+        if hit is not None:
+            return hit
+    return _Parsed(expr)
+
+
 def predicate_subsumes(
-    weak: Expr | None, strong: Expr | None
+    weak: Expr | None,
+    strong: Expr | None,
+    weak_maps: ConstraintMaps | None = None,
+    strong_maps: ConstraintMaps | None = None,
 ) -> tuple[bool, list[Expr]]:
     """Does ``weak`` subsume ``strong`` -- rows(strong) a subset of
     rows(weak)?  Returns ``(ok, residual)`` where ``residual`` is the list
     of ``strong``'s conjuncts not already implied by ``weak``; on success
     ``weak AND residual`` selects *exactly* the rows of ``strong`` (the
     dropped conjuncts are each implied by ``weak``), so a consumer can run
-    the residual as a post-filter over the provider's output."""
+    the residual as a post-filter over the provider's output.  The optional
+    :data:`ConstraintMaps` supply pre-parsed predicates; they never change
+    the answer."""
     if weak is None:
         return True, conjuncts(strong)
     if strong is None:
         return False, []
-    wconj = conjuncts(weak)
-    sconj = conjuncts(strong)
-    ssigs = {c.signature for c in sconj}
-    wcols, wopaque = _constraint_map(wconj)
-    scols, _ = _constraint_map(sconj)
+    w = _parsed(weak, weak_maps)
+    s = _parsed(strong, strong_maps)
     # Every opaque conjunct of the weak side must literally reappear.
-    for o in wopaque:
-        if o.signature not in ssigs:
+    for sig in w.opaque_sigs:
+        if sig not in s.sigs:
             return False, []
     # Every column the weak side constrains must be constrained at least
     # as tightly by the strong side.
+    wcols = w.cols
     for col, wc in wcols.items():
-        sc = scols.get(col)
+        sc = s.cols.get(col)
         if sc is None or not wc.contains(sc):
             return False, []
     # Residual: strong conjuncts not implied by the weak predicate.
-    wsigs = {c.signature for c in wconj}
+    wsigs = w.sigs
     residual: list[Expr] = []
-    for cj in sconj:
-        if cj.signature in wsigs:
+    for cj, sig, info in s.classified:
+        if sig in wsigs:
             continue
-        info = _classify(cj)
         if info is not None:
             col, cc = info
             wc = wcols.get(col)
@@ -471,22 +545,26 @@ def _unwrap_selects(node: PlanNode) -> tuple[PlanNode, Expr | None]:
 
 
 def _child_residual(
-    consumer_child: PlanNode, provider_child: PlanNode
+    consumer_child: PlanNode,
+    provider_child: PlanNode,
+    wm: ConstraintMaps | None = None,
+    sm: ConstraintMaps | None = None,
 ) -> tuple[bool, list[Expr]]:
     """Subsumption between two operator *inputs* (select chains included):
-    ``(ok, residual conjuncts over the provider child's output schema)``."""
+    ``(ok, residual conjuncts over the provider child's output schema)``.
+    ``wm`` / ``sm`` are the provider's / consumer's constraint maps."""
     ci, cpred = _unwrap_selects(consumer_child)
     pi, ppred = _unwrap_selects(provider_child)
     if ci.signature == pi.signature:
-        return predicate_subsumes(ppred, cpred)
+        return predicate_subsumes(ppred, cpred, wm, sm)
     if isinstance(ci, CJoinNode) and isinstance(pi, CJoinNode):
         # Aggregations over CJOIN outputs: the star itself may subsume.
-        plan = _fold_cjoin(ci, pi)
+        plan = _fold_cjoin(ci, pi, wm, sm)
         if plan is None or plan.project is not None:
             # A projection below an aggregation would shift the column
             # positions its exprs resolve against; require equal payloads.
             return False, []
-        ok, outer = predicate_subsumes(ppred, cpred)
+        ok, outer = predicate_subsumes(ppred, cpred, wm, sm)
         if not ok:
             return False, []
         return True, conjuncts(plan.residual) + outer
@@ -495,10 +573,10 @@ def _child_residual(
         # predicate anywhere in the tree surfaces as a residual over the
         # join's output (``_fold_join`` never projects, so column
         # positions are stable for the consuming operator's exprs).
-        plan = _fold_join(ci, pi)
+        plan = _fold_join(ci, pi, wm, sm)
         if plan is None:
             return False, []
-        ok, outer = predicate_subsumes(ppred, cpred)
+        ok, outer = predicate_subsumes(ppred, cpred, wm, sm)
         if not ok:
             return False, []
         return True, conjuncts(plan.residual) + outer
@@ -506,11 +584,26 @@ def _child_residual(
 
 
 def _fold_aggregate(
-    consumer: AggregateNode, provider: AggregateNode
+    consumer: AggregateNode,
+    provider: AggregateNode,
+    wm: ConstraintMaps | None,
+    sm: ConstraintMaps | None,
 ) -> FoldPlan | None:
     if not set(consumer.group_by) <= set(provider.group_by):
         return None
-    ok, residual = _child_residual(consumer.child, provider.child)
+    n_groups = len(provider.group_by)
+    # Map each consumer aggregate onto a provider aggregate with the same
+    # function and expression (cheap, so before the input subsumption).
+    matches: list[int] = []
+    for a in consumer.aggregates:
+        want = (a.func, a.expr.signature if a.expr else None)
+        for j, p in enumerate(provider.aggregates):
+            if (p.func, p.expr.signature if p.expr else None) == want:
+                matches.append(n_groups + j)
+                break
+        else:
+            return None
+    ok, residual = _child_residual(consumer.child, provider.child, wm, sm)
     if not ok:
         return None
     # The residual runs over the provider's *output groups*, so it may
@@ -521,18 +614,6 @@ def _fold_aggregate(
     if residual is None:
         return None
     out_names = _schema_names(provider)
-    n_groups = len(provider.group_by)
-    # Map each consumer aggregate onto a provider aggregate with the same
-    # function and expression.
-    matches: list[int] = []
-    for a in consumer.aggregates:
-        want = (a.func, a.expr.signature if a.expr else None)
-        for j, p in enumerate(provider.aggregates):
-            if (p.func, p.expr.signature if p.expr else None) == want:
-                matches.append(n_groups + j)
-                break
-        else:
-            return None
     if set(consumer.group_by) == set(provider.group_by):
         # Same grouping: groups pass through (filter + projection only).
         project: tuple[int, ...] | None = tuple(
@@ -555,32 +636,37 @@ def _fold_aggregate(
     return FoldPlan(residual=and_of(residual), regroup=regroup)
 
 
-def _fold_cjoin(consumer: CJoinNode, provider: CJoinNode) -> FoldPlan | None:
+def _fold_cjoin(
+    consumer: CJoinNode,
+    provider: CJoinNode,
+    wm: ConstraintMaps | None,
+    sm: ConstraintMaps | None,
+) -> FoldPlan | None:
     if consumer.fact_table != provider.fact_table:
         return None
     if len(consumer.dims) != len(provider.dims):
         return None
-    out_names = _schema_names(provider)
-    if len(set(out_names)) != len(out_names):
-        return None  # ambiguous column names: cannot resolve a residual
-    available = set(out_names)
     residual: list[Expr] = []
     for cd, pd in zip(consumer.dims, provider.dims):
         if (cd.dim_table, cd.fact_fk, cd.dim_key) != (pd.dim_table, pd.fact_fk, pd.dim_key):
             return None
         if not set(cd.payload) <= set(pd.payload):
             return None
-        ok, res = predicate_subsumes(pd.predicate, cd.predicate)
+        ok, res = predicate_subsumes(pd.predicate, cd.predicate, wm, sm)
         if not ok:
             return None
         residual.extend(res)
     if not set(consumer.fact_payload) <= set(provider.fact_payload):
         return None
-    ok, res = predicate_subsumes(provider.fact_predicate, consumer.fact_predicate)
+    ok, res = predicate_subsumes(provider.fact_predicate, consumer.fact_predicate, wm, sm)
     if not ok:
         return None
     residual.extend(res)
-    checked = _residual_over(residual, available)
+    # Only a star that subsumes pays for its output schema.
+    out_names = _schema_names(provider)
+    if len(set(out_names)) != len(out_names):
+        return None  # ambiguous column names: cannot resolve a residual
+    checked = _residual_over(residual, set(out_names))
     if checked is None:
         return None
     consumer_names = _schema_names(consumer)
@@ -591,13 +677,18 @@ def _fold_cjoin(consumer: CJoinNode, provider: CJoinNode) -> FoldPlan | None:
     return FoldPlan(residual=and_of(checked), project=project)
 
 
-def _fold_join(consumer: HashJoinNode, provider: HashJoinNode) -> FoldPlan | None:
+def _fold_join(
+    consumer: HashJoinNode,
+    provider: HashJoinNode,
+    wm: ConstraintMaps | None,
+    sm: ConstraintMaps | None,
+) -> FoldPlan | None:
     if (consumer.probe_key, consumer.build_key) != (provider.probe_key, provider.build_key):
         return None
-    ok_p, res_p = _child_residual(consumer.probe, provider.probe)
+    ok_p, res_p = _child_residual(consumer.probe, provider.probe, wm, sm)
     if not ok_p:
         return None
-    ok_b, res_b = _child_residual(consumer.build, provider.build)
+    ok_b, res_b = _child_residual(consumer.build, provider.build, wm, sm)
     if not ok_b:
         return None
     out_names = _schema_names(provider)
@@ -609,10 +700,15 @@ def _fold_join(consumer: HashJoinNode, provider: HashJoinNode) -> FoldPlan | Non
     return FoldPlan(residual=and_of(checked))
 
 
-def _fold_sort(consumer: SortNode, provider: SortNode) -> FoldPlan | None:
+def _fold_sort(
+    consumer: SortNode,
+    provider: SortNode,
+    wm: ConstraintMaps | None,
+    sm: ConstraintMaps | None,
+) -> FoldPlan | None:
     if consumer.keys != provider.keys:
         return None
-    ok, res = _child_residual(consumer.child, provider.child)
+    ok, res = _child_residual(consumer.child, provider.child, wm, sm)
     if not ok:
         return None
     out_names = _schema_names(provider)
@@ -623,21 +719,136 @@ def _fold_sort(consumer: SortNode, provider: SortNode) -> FoldPlan | None:
     return FoldPlan(residual=and_of(checked))
 
 
-def fold_plan(consumer: PlanNode, provider: PlanNode) -> FoldPlan | None:
+def fold_plan(
+    consumer: PlanNode,
+    provider: PlanNode,
+    provider_maps: ConstraintMaps | None = None,
+    consumer_maps: ConstraintMaps | None = None,
+) -> FoldPlan | None:
     """A :class:`FoldPlan` turning ``provider``'s output into exactly
     ``consumer``'s, or ``None`` when ``provider`` does not subsume it.
-    Both arguments are stage-root nodes (never ``SelectNode`` roots)."""
+    Both arguments are stage-root nodes (never ``SelectNode`` roots).
+    The optional :func:`constraint_maps` of either tree spare re-parsing
+    its predicates; they never change the answer."""
     if consumer.signature == provider.signature:
         return FoldPlan()
+    wm, sm = provider_maps, consumer_maps
     if isinstance(consumer, AggregateNode) and isinstance(provider, AggregateNode):
-        return _fold_aggregate(consumer, provider)
+        return _fold_aggregate(consumer, provider, wm, sm)
     if isinstance(consumer, CJoinNode) and isinstance(provider, CJoinNode):
-        return _fold_cjoin(consumer, provider)
+        return _fold_cjoin(consumer, provider, wm, sm)
     if isinstance(consumer, HashJoinNode) and isinstance(provider, HashJoinNode):
-        return _fold_join(consumer, provider)
+        return _fold_join(consumer, provider, wm, sm)
     if isinstance(consumer, SortNode) and isinstance(provider, SortNode):
-        return _fold_sort(consumer, provider)
+        return _fold_sort(consumer, provider, wm, sm)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Provider index: shape keys
+# ---------------------------------------------------------------------------
+def shape_key(node: PlanNode) -> tuple:
+    """The plan skeleton of ``node`` with predicates, payloads, projections
+    and group-by columns erased -- everything :func:`fold_plan` requires
+    to be *equal* between consumer and provider.  Contract: if
+    ``fold_plan(c, p)`` is not ``None`` then ``shape_key(c) ==
+    shape_key(p)``, so an index bucketed by shape only ever hides
+    providers that could not have folded anyway."""
+    if isinstance(node, AggregateNode):
+        return ("agg", _input_shape(node.child))
+    if isinstance(node, CJoinNode):
+        return (
+            "cjoin",
+            node.fact_table,
+            tuple((d.dim_table, d.fact_fk, d.dim_key) for d in node.dims),
+        )
+    if isinstance(node, HashJoinNode):
+        return (
+            "hj",
+            node.probe_key,
+            node.build_key,
+            _input_shape(node.probe),
+            _input_shape(node.build),
+        )
+    if isinstance(node, SortNode):
+        return ("sort", node.keys, _input_shape(node.child))
+    return node.signature  # other roots fold only when identical
+
+
+def _input_shape(node: PlanNode) -> tuple:
+    """Shape of an operator input, mirroring :func:`_child_residual`:
+    select chains unwrap, star and join inputs recurse, and any other
+    input must match exactly."""
+    while isinstance(node, SelectNode):
+        node = node.child
+    if isinstance(node, (CJoinNode, HashJoinNode)):
+        return shape_key(node)
+    return node.signature
+
+
+class ProviderIndex:
+    """Fold providers (a result cache's entries) indexed for search.  They
+    are bucketed by :func:`shape_key`, so a consumer tests only the one
+    bucket that can hold a provider folding it, and their predicates are
+    parsed once, into :attr:`parses`.  Providers that share predicate
+    objects -- the sort, aggregate and star entries one query leaves
+    behind -- share a parse.  Parses are reference counted: a parse, and
+    the predicate it pins, lives exactly as long as some provider holds
+    that predicate, so an identity key never goes stale.  Kept per owner,
+    never process-wide."""
+
+    __slots__ = ("parses", "_refs", "_buckets", "_size")
+
+    def __init__(self) -> None:
+        #: the providers' predicates, parsed (pass as ``provider_maps``)
+        self.parses: ConstraintMaps = {}
+        self._refs: dict[int, int] = {}
+        self._buckets: dict[tuple, dict[Any, Any]] = {}  # shape -> {key: token}
+        self._size = 0
+
+    def add(self, key: Any, node: PlanNode, token: Any) -> None:
+        """Register provider ``token`` under ``key`` (unique per index)."""
+        self._buckets.setdefault(shape_key(node), {})[key] = token
+        self._size += 1
+        for p in _predicates(node):
+            k = id(p)
+            if k in self._refs:
+                self._refs[k] += 1
+            else:
+                self._refs[k] = 1
+                self.parses[k] = _Parsed(p)
+
+    def remove(self, key: Any, node: PlanNode) -> None:
+        """Undo :meth:`add` of ``key``, whose plan is ``node``."""
+        shape = shape_key(node)  # recomputed: rare, and saves a key per provider
+        bucket = self._buckets[shape]
+        del bucket[key]
+        if not bucket:
+            del self._buckets[shape]
+        self._size -= 1
+        for p in _predicates(node):
+            k = id(p)
+            self._refs[k] -= 1
+            if not self._refs[k]:
+                del self._refs[k]
+                del self.parses[k]
+
+    def bucket(self, shape: tuple, exclude: Any = None) -> list:
+        """The providers of ``shape`` in registration order, except the
+        one under key ``exclude``."""
+        bucket = self._buckets.get(shape)
+        if not bucket:
+            return []
+        return [t for k, t in bucket.items() if k != exclude]
+
+    def clear(self) -> None:
+        self.parses.clear()
+        self._refs.clear()
+        self._buckets.clear()
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
 
 
 # ---------------------------------------------------------------------------
@@ -645,27 +856,47 @@ def fold_plan(consumer: PlanNode, provider: PlanNode) -> FoldPlan | None:
 # ---------------------------------------------------------------------------
 class FoldPlanner:
     """Ranks candidate providers for one consumer node and keeps the
-    cheapest fold.  ``examined`` counts subsumption tests so the engine
-    can charge ``CostModel.fold_probe`` per candidate considered."""
+    cheapest fold.  ``examined`` counts the candidates the search covered
+    so the engine can charge ``CostModel.fold_probe`` per candidate: both
+    those tested by :meth:`consider` and those a shape index ruled out
+    unseen (:meth:`skip`), so indexing changes host time, never the bill."""
 
-    __slots__ = ("node", "examined", "_best")
+    __slots__ = ("node", "shape", "examined", "_best", "_maps")
 
     def __init__(self, node: PlanNode):
         self.node = node
+        #: the consumer's :func:`shape_key`: only providers of this shape
+        #: can fold it
+        self.shape = shape_key(node)
         self.examined = 0
         self._best: tuple[tuple, Any, FoldPlan] | None = None
+        self._maps: ConstraintMaps | None = None  # parsed on the first test
 
-    def consider(self, provider_node: PlanNode, token: Any, tie_break: tuple = ()) -> None:
+    def consider(
+        self,
+        provider_node: PlanNode,
+        token: Any,
+        tie_break: tuple = (),
+        provider_maps: ConstraintMaps | None = None,
+    ) -> None:
         """Test one provider; ``token`` is handed back by :meth:`best`.
         ``tie_break`` orders equal-cost folds deterministically (e.g.
-        registration order, cache bytes)."""
+        registration order, cache bytes); ``provider_maps`` holds the
+        provider's pre-parsed predicates, if kept
+        (:attr:`ProviderIndex.parses`)."""
         self.examined += 1
-        plan = fold_plan(self.node, provider_node)
+        if self._maps is None:
+            self._maps = constraint_maps(self.node)
+        plan = fold_plan(self.node, provider_node, provider_maps, self._maps)
         if plan is None:
             return
         score = plan.cost_rank() + tie_break + (self.examined,)
         if self._best is None or score < self._best[0]:
             self._best = (score, token, plan)
+
+    def skip(self, n: int = 1) -> None:
+        """Count ``n`` providers ruled out by shape without a test."""
+        self.examined += n
 
     def best(self) -> tuple[Any, FoldPlan] | None:
         if self._best is None:

@@ -33,7 +33,9 @@ class PoissonArrivals(ArrivalProcess):
     def __init__(self, rate: float, seed: int = 1):
         if rate <= 0:
             raise ValueError("rate must be positive")
-        self.rate = rate
+        # A float, so the RNG salt (repr of the rate) is the same for 16
+        # and 16.0 -- otherwise an int rate would draw a different stream.
+        self.rate = float(rate)
         self.seed = seed
 
     def gaps(self) -> Iterator[float]:
@@ -50,7 +52,7 @@ class UniformArrivals(ArrivalProcess):
     def __init__(self, rate: float, seed: int = 1):
         if rate <= 0:
             raise ValueError("rate must be positive")
-        self.rate = rate
+        self.rate = float(rate)
 
     def gaps(self) -> Iterator[float]:
         gap = 1.0 / self.rate

@@ -2,6 +2,8 @@
 byte-budgeted eviction under both policies, table invalidation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CACHE_POLICIES, ResultCache
 from repro.sim import Simulator
@@ -158,3 +160,138 @@ class TestStats:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["insertions"] == 1
+
+
+# ----------------------------------------------------------------------
+# Fold-provider index: shape buckets vs a linear scan of every entry
+# ----------------------------------------------------------------------
+def _node_pool():
+    """Plan nodes of several shapes; within a shape, weaker and stronger
+    predicates and finer and coarser groupings, so real folds occur."""
+    from repro.query.expr import Between, Cmp, Col
+    from repro.query.plan import (
+        AggregateNode,
+        AggSpec,
+        CJoinNode,
+        DimJoinSpec,
+        ScanNode,
+        SelectNode,
+        SortNode,
+    )
+    from repro.storage.schema import Column, Schema
+    from repro.storage.table import Table
+
+    schema = Schema([Column("a"), Column("b"), Column("c")], row_bytes=24)
+    fact = Table("t", schema, [(1, 2, 3)], packed=False)
+    aggs = (AggSpec("sum", Col("c"), "sum_c"), AggSpec("count", None, "n"))
+
+    def select(pred):
+        scan = ScanNode(fact)
+        return scan if pred is None else SelectNode(scan, pred)
+
+    preds = [None, Between("a", 0, 5), Between("a", 1, 3), Cmp(">", "b", 0)]
+    nodes = []
+    for pred in preds:
+        for groups in (("a", "b"), ("a",)):
+            nodes.append(AggregateNode(select(pred), groups, aggs))
+    for dim_pred in (None, Between("x", 0, 5), Between("x", 1, 2)):
+        for fact_pred in (None, Between("a", 1, 3)):
+            dim = DimJoinSpec("d", "a", "k", dim_pred, ("x",))
+            nodes.append(CJoinNode(fact, (dim,), ("a", "b"), fact_pred))
+    for pred in preds[:3]:
+        nodes.append(SortNode(AggregateNode(select(pred), ("a",), aggs), (("a", True),)))
+    return nodes
+
+
+NODES = _node_pool()
+#: cache keys: each node's signature (as the engine admits) plus two bare
+#: keys whose entries carry a node only some of the time
+KEYS = [n.signature for n in NODES] + [("bare", 0), ("bare", 1)]
+
+
+def _reference_probe(cache, node):
+    """The linear scan the shape index replaced: every entry with a node
+    except the exact key is tested, in insertion order."""
+    from repro.query.subsume import FoldPlanner, fold_plan
+
+    planner = FoldPlanner(node)
+    any_fold = False
+    for entry in cache._entries.values():
+        if entry.node is None or entry.key == node.signature:
+            continue
+        any_fold = any_fold or fold_plan(node, entry.node) is not None
+        planner.consider(
+            entry.node, entry, tie_break=(entry.nbytes, -entry.benefit_per_byte(), entry.seq)
+        )
+    best = planner.best()
+    hit = None if best is None else (best[0], best[1], planner.examined)
+    return hit, any_fold
+
+
+def _assert_index_exact(cache):
+    """The provider index mirrors the resident entries with a node: same
+    buckets, no empty bucket lingering, and exactly their predicates
+    parsed."""
+    from repro.query.subsume import constraint_maps, shape_key
+
+    index = cache._providers
+    expected: dict = {}
+    parsed: set = set()
+    for key, entry in cache._entries.items():
+        if entry.node is not None:
+            expected.setdefault(shape_key(entry.node), {})[key] = entry
+            parsed |= set(constraint_maps(entry.node))
+    assert index._buckets == expected
+    assert all(index._buckets.values())
+    assert len(index) == sum(len(b) for b in expected.values())
+    assert set(index.parses) == parsed == set(index._refs)
+
+
+_OPS = {
+    "admit": st.tuples(
+        st.just("admit"),
+        st.sampled_from(range(len(KEYS))),
+        st.sampled_from([True, True, True, False]),  # record the node? (mostly)
+        st.sampled_from(range(len(NODES))),  # node for a bare key
+        st.sampled_from([40.0, 120.0, 300.0, 700.0]),
+        st.sampled_from([0.01, 0.5, 2.0]),
+        st.sampled_from(["t", "u"]),
+    ),
+    "fold": st.tuples(st.just("fold"), st.sampled_from(range(len(NODES)))),
+    "probe": st.tuples(st.just("probe"), st.sampled_from(range(len(KEYS)))),
+    "invalidate": st.tuples(st.just("invalidate"), st.sampled_from(["t", "u"])),
+    "clear": st.tuples(st.just("clear")),
+}
+#: admits and fold probes dominate, so the cache holds providers when probed
+_ops = st.sampled_from(
+    ["admit"] * 8 + ["fold"] * 6 + ["probe"] * 2 + ["invalidate", "clear"]
+).flatmap(_OPS.__getitem__)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy=st.sampled_from(sorted(CACHE_POLICIES)), ops=st.lists(_ops, min_size=10, max_size=60))
+def test_shape_index_matches_linear_scan(policy, ops):
+    """Random admit / replace / evict / invalidate / clear sequences: after
+    every step the index mirrors the resident entries exactly, and both
+    fold probes answer as the linear scan does -- same entry, same plan,
+    same billed ``examined``."""
+    _, cache = make_cache(capacity=2000.0, policy=policy, max_entry_fraction=0.5)
+    for op in ops:
+        kind = op[0]
+        if kind == "admit":
+            _, ki, with_node, ni, nbytes, cost, table = op
+            key = KEYS[ki]
+            node = (NODES[ki] if ki < len(NODES) else NODES[ni]) if with_node else None
+            cache.admit(key, entry_batches(), nbytes, cost, frozenset({table}), "aggregate", node)
+        elif kind == "probe":
+            cache.probe(KEYS[op[1]])
+        elif kind == "fold":
+            node = NODES[op[1]]
+            expected, any_fold = _reference_probe(cache, node)
+            assert cache.has_subsuming(node) == any_fold
+            assert cache.probe_subsuming(node) == expected
+        elif kind == "invalidate":
+            cache.invalidate_table(op[1])
+        else:
+            cache.clear()
+        _assert_index_exact(cache)

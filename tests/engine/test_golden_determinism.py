@@ -271,9 +271,9 @@ def _fold_mix_jobs():
     return jobs
 
 
-def _run_fold_mix(ssb, config_key: str, fold: bool):
-    """Run the overlap mix with a small submit stagger; returns per-query
-    result fingerprints plus the fold counters that fired."""
+def _fold_mix_run(ssb, config_key: str, fold: bool):
+    """Run the overlap mix with a small submit stagger; returns the
+    simulator and the per-query handles in submit order."""
     from repro.sim.commands import SLEEP
     from repro.storage.manager import StorageConfig as SC
 
@@ -301,10 +301,15 @@ def _run_fold_mix(ssb, config_key: str, fold: bool):
 
         sim.spawn(submitter(), "submitter")
         sim.run()
-        folds = {
-            k: v for k, v in sim.metrics.counts.items() if k.startswith("fold_")
-        }
-        return [_result_fingerprint(h.results) for h in handles], folds
+        return sim, handles
+
+
+def _run_fold_mix(ssb, config_key: str, fold: bool):
+    """Per-query result fingerprints of the overlap mix plus the fold
+    counters that fired."""
+    sim, handles = _fold_mix_run(ssb, config_key, fold)
+    folds = {k: v for k, v in sim.metrics.counts.items() if k.startswith("fold_")}
+    return [_result_fingerprint(h.results) for h in handles], folds
 
 
 @pytest.mark.parametrize("config_key", list(CONFIGS), ids=list(CONFIGS))
@@ -325,6 +330,34 @@ def test_query_folding_fires_on_overlap(ssb):
     _, on_folds = _run_fold_mix(ssb, "QPipe-SP", fold=True)
     assert not off_folds, f"fold counters must stay zero fold-off: {off_folds}"
     assert sum(on_folds.values()) > 0, "no fold fired on the overlap mix"
+
+
+#: sha256 of the fold-on overlap mix's full metrics view plus per-query
+#: latencies, pinned before the fold providers were indexed by shape: the
+#: index is a host-side lookup, so every fold-on tick must stay put.
+FOLD_TIMING_DIGESTS = {
+    "QPipe-SP": "53cf66d6e884eb3b8f2605726046bcb9bbe57c093f8295891cfe5fd7e8aecfa9",
+    "CJOIN-SP": "a95f09bab59303f13541e52df837dbeeffa383e7a53e658ea6dd68949c82e176",
+}
+
+
+def _fold_timing_digest(ssb, config_key: str) -> str:
+    import hashlib
+
+    sim, handles = _fold_mix_run(ssb, config_key, fold=True)
+    measured = {
+        "metrics": sim.metrics.to_dict(),
+        "latencies": [h.response_time for h in handles],
+    }
+    return hashlib.sha256(json.dumps(measured, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config_key", list(FOLD_TIMING_DIGESTS))
+def test_query_folding_timing_pinned(ssb, config_key):
+    """Fold-on simulated timing is pinned too: fold search bills
+    ``CostModel.fold_search`` per candidate examined, so how providers are
+    found may change only host time, never a simulated tick."""
+    assert _fold_timing_digest(ssb, config_key) == FOLD_TIMING_DIGESTS[config_key]
 
 
 @pytest.mark.parametrize("mode", ["hash", "range"])

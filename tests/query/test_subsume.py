@@ -20,16 +20,26 @@ checked here over arbitrary generated predicates and relations:
 
 Plus the canonicalization satellite: :func:`normalize` never changes the
 selected rows, is idempotent, and maps any conjunct permutation to one
-signature.
+signature; and the provider index's contract: whenever ``fold_plan``
+folds, consumer and provider have the same :func:`shape_key`.
 """
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.query.expr import And, Between, Cmp, InSet, Not, Or
-from repro.query.plan import AggregateNode, AggSpec, ScanNode, SelectNode
+from repro.query.plan import (
+    AggregateNode,
+    AggSpec,
+    CJoinNode,
+    DimJoinSpec,
+    HashJoinNode,
+    ScanNode,
+    SelectNode,
+    SortNode,
+)
 from repro.query.subsume import (
     FoldPlan,
     FoldPlanner,
@@ -39,6 +49,7 @@ from repro.query.subsume import (
     fold_plan,
     normalize,
     predicate_subsumes,
+    shape_key,
     split_range,
 )
 from repro.storage.schema import Column, Schema
@@ -321,3 +332,227 @@ def test_fold_planner_prefers_fewest_residual_terms():
     token, plan = planner.best()
     assert token == "near"
     assert plan.residual.columns() == {"b"}
+
+
+# ----------------------------------------------------------------------
+# Provider index: the shape-key contract
+# ----------------------------------------------------------------------
+# Plan pairs over two fact tables (t, u: columns a, b, c) and two
+# dimensions (d: k, x; e: j, y).  Each plan is a skeleton -- root kind,
+# input kind, join keys, dimension keys, sort keys -- dressed with leaf
+# choices: select chains, predicates from small pools, payloads, groupings
+# and aggregates.  Half the pairs are a provider and a narrowing of it, so
+# the contract is exercised on real folds, not only on misses.
+DIM_SCHEMA = Schema([Column("k"), Column("x")], row_bytes=16)
+FACTS = {n: Table(n, SCHEMA, [(1, 2, 3)], packed=False) for n in ("t", "u")}
+DIM = Table("d", DIM_SCHEMA, [(3, 4)], packed=False)
+#: the inner dimension of a nested join tree (distinct column names)
+INNER_DIM = Table("e", Schema([Column("j"), Column("y")], row_bytes=16), [(3, 4)], packed=False)
+
+fact_preds = st.sampled_from(
+    [None, Between("a", 0, 5), Between("a", 1, 3), Cmp(">", "b", 0),
+     And(Between("a", 1, 3), Cmp(">", "b", 0)), InSet("c", (1, 2))]
+)
+dim_preds = st.sampled_from(
+    [None, Between("x", 0, 5), Between("x", 1, 2), Cmp("=", "k", 3)]
+)
+inner_dim_preds = st.sampled_from([None, Between("y", 0, 5), Between("y", 1, 2)])
+
+skeletons = st.fixed_dictionaries(
+    {
+        "root": st.sampled_from(["agg", "sort", "cjoin", "hj", "scan"]),
+        "input": st.sampled_from(["scan", "cjoin", "hj"]),
+        "fact": st.sampled_from(["t", "u"]),
+        "fks": st.sampled_from([("a",), ("b",), ("a", "b")]),
+        "probe_key": st.sampled_from(["a", "b"]),
+        "nested": st.booleans(),
+        "sort_keys": st.sampled_from([(("a", True),), (("b", False),)]),
+        "sort_over_agg": st.booleans(),
+    }
+)
+
+
+def _chain(draw, node, preds):
+    """Wrap ``node`` in zero to two selects."""
+    for _ in range(draw(st.integers(0, 2))):
+        pred = draw(preds)
+        if pred is not None:
+            node = SelectNode(node, pred)
+    return node
+
+
+def _cjoin(draw, sk):
+    dims = []
+    for i, fk in enumerate(sk["fks"]):
+        # Output names must stay unique: only the first dimension carries x.
+        payload = draw(st.sampled_from([(), ("x",)])) if i == 0 else ()
+        dims.append(DimJoinSpec("d", fk, "k", draw(dim_preds), payload))
+    fact_payload = draw(st.sampled_from([("a", "b"), ("a", "b", "c")]))
+    return CJoinNode(FACTS[sk["fact"]], tuple(dims), fact_payload, draw(fact_preds))
+
+
+def _hashjoin(draw, sk, nested):
+    """``fact JOIN d``; nested: ``(fact JOIN e) JOIN d``."""
+    probe = ScanNode(FACTS[sk["fact"]])
+    if nested:
+        probe = HashJoinNode(
+            _chain(draw, probe, fact_preds),
+            _chain(draw, ScanNode(INNER_DIM), inner_dim_preds),
+            sk["probe_key"],
+            "j",
+        )
+    return HashJoinNode(
+        _chain(draw, probe, fact_preds),
+        _chain(draw, ScanNode(DIM), dim_preds),
+        sk["probe_key"],
+        "k",
+    )
+
+
+def _input(draw, sk):
+    if sk["input"] == "cjoin":
+        base = _cjoin(draw, sk)
+    elif sk["input"] == "hj":
+        base = _hashjoin(draw, sk, sk["nested"])
+    else:
+        base = ScanNode(FACTS[sk["fact"]])
+    return _chain(draw, base, fact_preds)
+
+
+def _aggregate(draw, sk):
+    aggs = _aggs()
+    mask = draw(st.integers(1, 15))
+    groups = draw(st.sampled_from(GROUP_SUBSETS))
+    return AggregateNode(
+        _input(draw, sk), groups, tuple(a for i, a in enumerate(aggs) if mask >> i & 1)
+    )
+
+
+def _plan(draw, sk):
+    root = sk["root"]
+    if root == "agg":
+        return _aggregate(draw, sk)
+    if root == "sort":
+        child = _aggregate(draw, sk) if sk["sort_over_agg"] else _input(draw, sk)
+        return SortNode(child, sk["sort_keys"])
+    if root == "cjoin":
+        return _cjoin(draw, sk)
+    if root == "hj":
+        return _hashjoin(draw, sk, sk["nested"])
+    return ScanNode(FACTS[sk["fact"]])
+
+
+#: select predicates that fit the columns above each base table
+_POOLS = {"t": fact_preds, "u": fact_preds, "d": dim_preds, "e": inner_dim_preds}
+
+
+def _narrow_input(draw, node):
+    """A stronger version of an operator input: narrowed below, and
+    perhaps one more select on top."""
+    if isinstance(node, SelectNode):
+        inner = SelectNode(_narrow_input(draw, node.child), node.predicate)
+    elif isinstance(node, (CJoinNode, HashJoinNode)):
+        inner = _narrow(draw, node, project=False)
+    else:
+        inner = node
+    base = node
+    while isinstance(base, SelectNode):
+        base = base.child
+    # A scan takes its table's predicates; star and join outputs have a, b, c.
+    pool = _POOLS[base.table.name] if isinstance(base, ScanNode) else fact_preds
+    pred = draw(pool)
+    return inner if pred is None else SelectNode(inner, pred)
+
+
+def _narrow(draw, node, project=True):
+    """A consumer ``node`` (usually) subsumes: stronger predicates, and for
+    aggregates a coarser grouping over a subset of the measures."""
+    if isinstance(node, AggregateNode):
+        groups = tuple(g for g in node.group_by if draw(st.booleans()))
+        aggs = tuple(a for a in node.aggregates if draw(st.booleans())) or node.aggregates[:1]
+        return AggregateNode(_narrow_input(draw, node.child), groups, aggs)
+    if isinstance(node, SortNode):
+        child = node.child
+        if isinstance(child, AggregateNode):
+            child = _narrow(draw, child)
+        else:
+            child = _narrow_input(draw, child)
+        return SortNode(child, node.keys)
+    if isinstance(node, CJoinNode):
+        dims = tuple(
+            DimJoinSpec(d.dim_table, d.fact_fk, d.dim_key,
+                        and_of(conjuncts(d.predicate) + conjuncts(draw(dim_preds))), d.payload)
+            for d in node.dims
+        )
+        payload = node.fact_payload
+        if project and len(payload) > 2 and draw(st.booleans()):
+            payload = payload[:2]
+        fact_pred = and_of(conjuncts(node.fact_predicate) + conjuncts(draw(fact_preds)))
+        return CJoinNode(node.fact_table_obj, dims, payload, fact_pred)
+    if isinstance(node, HashJoinNode):
+        return HashJoinNode(
+            _narrow_input(draw, node.probe),
+            _narrow_input(draw, node.build),
+            node.probe_key,
+            node.build_key,
+        )
+    return node
+
+
+@st.composite
+def plan_pairs(draw):
+    """``(consumer, provider)``: mostly a narrowing of the provider (a
+    likely fold), else a fresh plan of the same or another skeleton."""
+    sk = draw(skeletons)
+    provider = _plan(draw, sk)
+    how = draw(st.sampled_from(["narrow", "narrow", "same", "other"]))
+    if how == "narrow":
+        return _narrow(draw, provider), provider
+    return _plan(draw, sk if how == "same" else draw(skeletons)), provider
+
+
+def _star(fact_pred, dim_pred, payload=("x",)):
+    return CJoinNode(
+        FACTS["t"], (DimJoinSpec("d", "a", "k", dim_pred, payload),), ("a", "b"), fact_pred
+    )
+
+
+def _join(probe_pred, dim_pred):
+    probe = ScanNode(FACTS["t"])
+    if probe_pred is not None:
+        probe = SelectNode(probe, probe_pred)
+    return HashJoinNode(probe, SelectNode(ScanNode(DIM), dim_pred), "a", "k")
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=plan_pairs())
+@example(pair=(_star(Between("a", 1, 3), Between("x", 1, 2)), _star(None, Between("x", 0, 5))))
+@example(pair=(
+    AggregateNode(_star(Between("a", 1, 3), None, ()), ("a",), _aggs()[:1]),
+    AggregateNode(_star(None, None, ()), ("a", "b"), _aggs()),
+))
+@example(pair=(
+    SortNode(_join(Cmp(">", "b", 0), Between("x", 1, 2)), (("a", True),)),
+    SortNode(_join(None, Between("x", 0, 5)), (("a", True),)),
+))
+def test_fold_implies_equal_shape_keys(pair):
+    """The provider index may only hide providers that could not fold:
+    ``fold_plan(c, p) is not None`` implies ``shape_key(c) == shape_key(p)``."""
+    consumer, provider = pair
+    folded = fold_plan(consumer, provider) is not None
+    event("folds" if folded else "does not fold")
+    if folded:
+        assert shape_key(consumer) == shape_key(provider)
+
+
+def test_shape_key_erases_predicates_and_separates_kinds():
+    narrow = _star(Between("a", 1, 3), Between("x", 1, 2))
+    broad = _star(None, None, ())
+    assert shape_key(narrow) == shape_key(broad)
+    # Node kind, dimension key and join key are part of the shape.
+    assert shape_key(narrow) != shape_key(_join(None, Between("x", 1, 2)))
+    other_fk = CJoinNode(FACTS["t"], (DimJoinSpec("d", "b", "k"),), ("a", "b"))
+    assert shape_key(narrow) != shape_key(other_fk)
+    assert shape_key(AggregateNode(narrow, ("a",), _aggs())) != shape_key(
+        AggregateNode(_join(None, Between("x", 1, 2)), ("a",), _aggs())
+    )

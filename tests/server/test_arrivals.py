@@ -33,6 +33,13 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonArrivals(0.0)
 
+    def test_int_and_float_rate_draw_the_same_stream(self):
+        # The RNG is salted with the rate: 16 and 16.0 must salt alike.
+        assert take(PoissonArrivals(16, seed=3), 50) == take(PoissonArrivals(16.0, seed=3), 50)
+        assert take(make_arrivals("poisson", 16, seed=3), 50) == take(
+            make_arrivals("poisson", 16.0, seed=3), 50
+        )
+
 
 class TestUniform:
     def test_constant_gaps(self):
