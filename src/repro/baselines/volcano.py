@@ -14,11 +14,6 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.engine.config import (
-    batch_kernels_default,
-    columnar_pages_default,
-    fuse_charges_default,
-)
 from repro.engine.qpipe import QueryHandle
 from repro.engine.stages.aggregate import _finalize, accumulate_columnar
 from repro.engine.stages.join import probe_columnar, single_match_table
@@ -112,10 +107,10 @@ class VolcanoEngine:
         handle.gate.open()
 
     def _eval(self, node: PlanNode) -> Iterator[Any]:
-        """Evaluate bottom-up; a relation is either a list of row tuples or
-        (columnar fast path) a :class:`ColumnBatch` over the table's column
-        vectors.  Charges count rows, never representation, so both modes
-        are tick-identical.
+        """Evaluate bottom-up; a relation is a :class:`ColumnBatch` over the
+        table's column vectors until an operator materializes row tuples
+        (a predicate without a column kernel, an aggregate's output), then
+        a list of rows.  Charges count rows, never representation.
 
         The tree walk is an explicit stack machine rather than recursive
         ``yield from``: every simulator resume re-enters exactly one
@@ -140,8 +135,6 @@ class VolcanoEngine:
                 # the direct path the buffer pool is driven straight -- no
                 # PageSource frame, no helper frame.
                 table = nd.table
-                columnar = columnar_pages_default()
-                rows: list[tuple] = []
                 npages = table.num_pages
                 if npages:
                     storage = self.storage
@@ -152,11 +145,7 @@ class VolcanoEngine:
                         or scfg.prefetch_window <= 0
                     ):
                         read_page = storage.read_page
-                        prepay = (
-                            storage.latch_prepay_charge()
-                            if fuse_charges_default()
-                            else None
-                        )
+                        prepay = storage.latch_prepay_charge()
                         if prepay is not None:
                             # Prepay the next page's buffer-pool latch charge
                             # at the tail of this page's scan charge: one
@@ -183,14 +172,10 @@ class VolcanoEngine:
                                     cmd = cost.scan(n, page.weight)
                                     prepaid = False
                                 yield cmd
-                                if not columnar:
-                                    rows.extend(page.rows)
                         else:
                             for i in range(npages):
                                 page = yield from read_page(table, i)
                                 yield cost.scan(len(page), page.weight)
-                                if not columnar:
-                                    rows.extend(page.rows)
                     else:
                         from repro.storage.prefetch import PageSource
 
@@ -200,18 +185,13 @@ class VolcanoEngine:
                         for _ in range(npages):
                             page = yield from source.next()
                             yield cost.scan(len(page), page.weight)
-                            if not columnar:
-                                rows.extend(page.rows)
                         source.close()
-                if columnar:
-                    # Pages arrive in table order, so the scan output is a
-                    # zero-copy view of the table's (cached) column vectors.
-                    result = (
-                        ColumnBatch(table.columns(), None, table.row_weight),
-                        table.row_weight,
-                    )
-                else:
-                    result = rows, table.row_weight
+                # Pages arrive in table order, so the scan output is a
+                # zero-copy view of the table's column vectors.
+                result = (
+                    ColumnBatch(table.columns(), None, table.row_weight),
+                    table.row_weight,
+                )
             elif isinstance(nd, SelectNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
@@ -223,15 +203,10 @@ class VolcanoEngine:
                     ck = nd.predicate.compile_cols(nd.child.schema)
                     if ck is not None:
                         result = rel.take(ck(rel.column, len(rel))), w
-                    else:
-                        kernel = nd.predicate.compile_batch(nd.child.schema)
-                        result = kernel(rel.rows), w
-                elif batch_kernels_default():
-                    kernel = nd.predicate.compile_batch(nd.child.schema)
-                    result = kernel(rel), w
-                else:
-                    pred = nd.predicate.compile(nd.child.schema)
-                    result = [r for r in rel if pred(r)], w
+                        continue
+                    rel = rel.rows
+                kernel = nd.predicate.compile_batch(nd.child.schema)
+                result = kernel(rel), w
             elif isinstance(nd, HashJoinNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
@@ -257,11 +232,7 @@ class VolcanoEngine:
                     bkey = nd.build.schema.index(nd.build_key)
                     if build_rows:
                         nb = len(build_rows)
-                        if fuse_charges_default():
-                            yield CPU_FUSED(cost.hashing(nb, bw), cost.build(nb, bw))
-                        else:
-                            yield cost.hashing(nb, bw)
-                            yield cost.build(nb, bw)
+                        yield CPU_FUSED(cost.hashing(nb, bw), cost.build(nb, bw))
                         bkeys = [r[bkey] for r in build_rows]
                         single = dict(zip(bkeys, build_rows))
                         if len(single) != nb:
@@ -305,11 +276,7 @@ class VolcanoEngine:
                 if nout:
                     cmds.append(cost.emit_join(nout, w))
                 if cmds:
-                    if fuse_charges_default():
-                        yield CPU_FUSED(*cmds)
-                    else:
-                        for cmd in cmds:
-                            yield cmd
+                    yield CPU_FUSED(*cmds)
                 result = out, w
             elif isinstance(nd, AggregateNode):
                 if phase == 0:
@@ -319,14 +286,10 @@ class VolcanoEngine:
                 rel, w = result
                 n = len(rel)
                 if n:
-                    if fuse_charges_default():
-                        yield CPU_FUSED(
-                            CPU(cost.hash_func * n * w, "aggregation"),
-                            cost.aggregate(n, w, functions=len(nd.aggregates)),
-                        )
-                    else:
-                        yield CPU(cost.hash_func * n * w, "aggregation")
-                        yield cost.aggregate(n, w, functions=len(nd.aggregates))
+                    yield CPU_FUSED(
+                        CPU(cost.hash_func * n * w, "aggregation"),
+                        cost.aggregate(n, w, functions=len(nd.aggregates)),
+                    )
                 schema = nd.child.schema
                 if isinstance(rel, ColumnBatch):
                     # Late-materialized accumulation; same fold order as the

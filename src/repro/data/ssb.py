@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.data.rng import make_rng
-from repro.sim.fastpath import packed_storage_active
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -259,15 +258,13 @@ def generate_ssb(sf: float = 1.0, seed: int = 42) -> SsbDataset:
     """Generate (and memoize) an SSB database at scale factor ``sf``.
 
     Tables are immutable, so the cached dataset is safe to share across
-    simulation runs.  The memo key includes the effective packed-storage
-    flag: table layout is baked in at build time, so a packed-mode build
-    must never be served to a boxed-mode caller (and vice versa) when
-    both modes run in one process (A/B benches, golden tests)."""
-    return _generate_ssb(sf, seed, packed_storage_active())
+    simulation runs (the memo is keyed positionally, so keyword and
+    positional calls share one build)."""
+    return _generate_ssb(sf, seed)
 
 
 @lru_cache(maxsize=8)
-def _generate_ssb(sf: float, seed: int, _packed: bool) -> SsbDataset:
+def _generate_ssb(sf: float, seed: int) -> SsbDataset:
     if sf <= 0:
         raise ValueError("scale factor must be positive")
     date = _make_date()

@@ -144,7 +144,7 @@ class FifoExchange:
 
         The producer thread pays the FIFO bookkeeping for its own output and
         a full copy per satellite -- the push-based serialization point.
-        ``lead`` (fast mode) is an extra CPU charge fused in front of the
+        ``lead`` is an extra CPU charge fused in front of the
         bookkeeping charge -- legal because nothing observable happens
         between those yields."""
         self.pages_emitted += 1

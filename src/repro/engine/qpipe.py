@@ -102,13 +102,7 @@ class QPipeEngine:
     # ------------------------------------------------------------------
     def new_exchange(self, name: str) -> Any:
         if self.config.comm == "spl":
-            return SplExchange(
-                self.sim,
-                self.cost,
-                self.config.spl_max_pages,
-                name,
-                fuse=self.config.use_fuse_charges(),
-            )
+            return SplExchange(self.sim, self.cost, self.config.spl_max_pages, name)
         return FifoExchange(self.sim, self.cost, self.config.fifo_capacity, name)
 
     # ------------------------------------------------------------------
@@ -244,14 +238,7 @@ class QPipeEngine:
         inner, predicate = unwrap_selects(child)
         child_packet = self._build(inner, query)
         reader = child_packet.connect(budget=self._budget_for(inner))
-        return FilteredInput(
-            reader,
-            self.cost,
-            predicate,
-            inner.schema,
-            batch=self.config.use_batch_kernels(),
-            fuse=self.config.use_fuse_charges(),
-        )
+        return FilteredInput(reader, self.cost, predicate, inner.schema)
 
     # ------------------------------------------------------------------
     def sharing_summary(self) -> dict[str, int]:

@@ -78,22 +78,22 @@ class SplConsumer:
         return self.spl.read(self)
 
     def defer_read_charge(self):
-        """Opt this consumer into *deferred* per-page read charges (fast
-        mode only).  ``read`` then returns each page without yielding its
+        """Opt this consumer into *deferred* per-page read charges.
+        ``read`` then returns each page without yielding its
         ``spl_read_page`` charge; the caller must fuse the returned command
         in front of the very next CPU charge it yields after every
         successful (non-END) read -- everything in between must be pure
         computation, so the fused parts complete at exactly the instants
         the separate yields would have.  Returns None (and changes
-        nothing) when the SPL is not in fused mode."""
+        nothing) when the read charge is free."""
         spl = self.spl
-        if spl.fuse and spl._read_charge.cycles > 0:
+        if spl._read_charge.cycles > 0:
             self.deferred = True
             return spl._read_charge
         return None
 
     def prepay_lock_charge(self):
-        """Fast mode: the lock charge of this consumer's *next* ``read``
+        """The lock charge of this consumer's *next* ``read``
         may be fused as the last part of the command the caller yields
         right before that read -- ``take_or_enqueue`` still runs at the
         charge's completion instant, and only pure computation separates
@@ -101,10 +101,9 @@ class SplConsumer:
         unavailable.  The caller must set ``lock_prepaid`` each time it
         actually fuses the charge, and must keep reading until END (the
         END-returning read consumes the final prepaid charge, exactly as
-        the unfused read would have paid it)."""
-        spl = self.spl
-        charge = spl._lock.charge_cmd
-        if spl.fuse and charge is not None and charge.cycles > 0:
+        a plain read would have paid it)."""
+        charge = self.spl._lock.charge_cmd
+        if charge is not None and charge.cycles > 0:
             return charge
         return None
 
@@ -122,7 +121,6 @@ class SharedPagesList:
         cost: "CostModel",
         max_pages: int,
         name: str | None = None,
-        fuse: bool = False,
     ):
         if max_pages < 1:
             raise ValueError("max_pages must be >= 1")
@@ -142,19 +140,17 @@ class SharedPagesList:
         # (immutable) instances instead of constructing one per page.
         self._emit_charge = CPU(cost.spl_emit_page, "misc")
         self._read_charge = CPU(cost.spl_read_page, "misc")
-        #: fast mode (``fuse_charges``): yield the emit and lock charges as
-        #: one fused command, and let consumers defer their read charge
-        #: into the next command they yield.  Neither moves a charge to a
-        #: different simulated instant (fused parts are metered and
-        #: completed exactly like the separate yields), so both modes
-        #: produce bit-identical results.  Zero-cost charges stay unfused:
-        #: a zero-cycle *command* resumes through the event heap while a
-        #: zero-cycle fused *part* would ride the pool, which could order
-        #: differently against same-instant events.
-        self.fuse = bool(fuse)
+        #: the emit and lock charges yield as one fused command, and
+        #: consumers may defer their read charge into the next command they
+        #: yield.  Neither moves a charge to a different simulated instant
+        #: (fused parts are metered and completed exactly like separate
+        #: yields).  Zero-cost charges stay unfused: a zero-cycle *command*
+        #: resumes through the event heap while a zero-cycle fused *part*
+        #: would ride the pool, which could order differently against
+        #: same-instant events.
         self._emit_lock_charge = (
             CPU_FUSED(self._emit_charge, self._lock.charge_cmd)
-            if fuse and cost.spl_emit_page > 0 and self._lock.charge_cmd is not None
+            if cost.spl_emit_page > 0 and self._lock.charge_cmd is not None
             else None
         )
 
@@ -184,21 +180,21 @@ class SharedPagesList:
         """Producer: append one page.  Blocks while the list is at its
         maximum size.  The producer pays only its own append cost.
 
-        ``lead`` (fast mode) is an extra CPU charge the producer wants
-        metered immediately before the emit charge -- e.g. a scan's
-        per-page cycles.  It is fused in front of the emit+lock command,
-        which is legal because the producer does nothing observable
-        between those yields."""
+        ``lead`` is an extra CPU charge the producer wants metered
+        immediately before the emit charge -- e.g. a scan's per-page
+        cycles.  It is fused in front of the emit+lock command, which is
+        legal because the producer does nothing observable between those
+        yields."""
         if self._producer_done:
             raise RuntimeError(f"emit on closed SPL {self.name!r}")
         lock = self._lock
         me = self.sim.current
         fused = self._emit_lock_charge
         if fused is not None:
-            # Fast mode: emit charge + lock charge (+ optional lead) in one
-            # command; each part completes at the exact instant its
-            # separate yield would have, and ``take_or_enqueue`` still runs
-            # at the lock charge's completion instant.
+            # Emit charge + lock charge (+ optional lead) in one command;
+            # each part completes at the exact instant its separate yield
+            # would have, and ``take_or_enqueue`` still runs at the lock
+            # charge's completion instant.
             yield CPU_FUSED(lead, fused) if lead is not None else fused
             if not lock.take_or_enqueue(me):
                 yield BLOCK
@@ -255,7 +251,7 @@ class SharedPagesList:
         charge = lock.charge_cmd
         me = self.sim.current
         if consumer.lock_prepaid:
-            # Fast mode: the caller fused this read's lock charge into its
+            # The caller fused this read's lock charge into its
             # previous command (see ``prepay_lock_charge``); it completed
             # at this very instant, so go straight to the acquisition.
             consumer.lock_prepaid = False
@@ -280,7 +276,7 @@ class SharedPagesList:
                 consumer.read_count += 1
                 lock.release()
                 if consumer.deferred:
-                    # Fast mode: the caller fuses the read charge in front
+                    # The caller fuses the read charge in front
                     # of its next yield (see ``defer_read_charge``).
                     return batch
                 yield self._read_charge
@@ -297,10 +293,8 @@ class SplExchange:
 
     kind = "spl"
 
-    def __init__(
-        self, sim: "Simulator", cost: "CostModel", max_pages: int, name: str, fuse: bool = False
-    ):
-        self.spl = SharedPagesList(sim, cost, max_pages, name, fuse=fuse)
+    def __init__(self, sim: "Simulator", cost: "CostModel", max_pages: int, name: str):
+        self.spl = SharedPagesList(sim, cost, max_pages, name)
         self.name = name
 
     @property

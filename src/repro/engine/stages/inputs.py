@@ -7,13 +7,11 @@ in SelectNodes -- evaluates the fused predicate, charging per predicate
 term.  Keeping predicate evaluation on the *consumer* side is what lets a
 raw circular scan be shared by queries with different predicates.
 
-Selection runs through the predicate's batch kernel
-(:meth:`repro.query.expr.Expr.compile_batch`) -- one call per batch instead
-of one closure call per row -- and the read + predicate cycle charges are
-fused into a single simulator event.  Both are pure wall-clock
-optimizations: the selected rows, the charged cycles, and every simulated
-tick are identical to the row-at-a-time path (``batch=False``,
-``fuse=False``)."""
+Selection runs through the predicate's column, bitmap or batch kernels
+(:mod:`repro.query.expr`) -- one call per batch, never one closure call per
+row -- and the read + predicate cycle charges are fused into a single
+simulator event whose parts complete at exactly the instants separate
+yields would."""
 
 from __future__ import annotations
 
@@ -49,42 +47,31 @@ class FilteredInput:
         predicate: Expr | None,
         schema,
         charge_read: bool = True,
-        batch: bool = True,
-        fuse: bool = True,
     ):
         self.reader = reader
         self.cost = cost
         self.schema = schema
         self.charge_read = charge_read
-        self.fuse = fuse
         self.terms = predicate.terms if predicate is not None else 0
-        # Fast mode: an SPL reader hands us its per-page read charge to
-        # fuse in front of whatever we yield next (everything between is
-        # pure computation, so the fused parts complete at exactly the
-        # instants the separate yields would have).
+        # An SPL reader hands us its per-page read charge to fuse in front
+        # of whatever we yield next (everything between is pure
+        # computation, so the fused parts complete at exactly the instants
+        # the separate yields would have).
         self._deferred_charge = None
         self._lock_prepay = None
-        if fuse and hasattr(reader, "defer_read_charge"):
+        if hasattr(reader, "defer_read_charge"):
             self._deferred_charge = reader.defer_read_charge()
             self._lock_prepay = reader.prepay_lock_charge()
         # Column kernel: used when the incoming batch is a ColumnBatch
         # (selection = shrinking the selection vector, no row rebuild).
         # Predicate shapes without a column form fall back to the row
         # kernel over the batch's materialized rows.
-        self._col_kernel = None
-        self._mask_kernel = None
         if predicate is None:
-            self._pred = None
-            self._kernel = None
-        elif batch:
-            self._pred = None
+            self._kernel = self._col_kernel = self._mask_kernel = None
+        else:
             self._kernel = predicate.compile_batch(schema)
             self._col_kernel = predicate.compile_cols(schema)
             self._mask_kernel = predicate.compile_mask(schema)
-        else:
-            pred = predicate.compile(schema)
-            self._pred = pred
-            self._kernel = lambda rows: [r for r in rows if pred(r)]
 
     def _filter(self, batch) -> Any:
         """Apply the fused predicate to one non-empty batch (pure Python --
@@ -110,40 +97,18 @@ class FilteredInput:
         return Batch(self._kernel(batch.rows), batch.weight)
 
     def read(self) -> Iterator[Any]:
-        """Next (filtered) batch, or END."""
-        batch = yield from self.reader.read()
-        if batch is END:
-            return END
-        rc = self._deferred_charge
-        n = len(batch)
-        if self._kernel is None or n == 0:
-            if self.charge_read and n:
-                read_cmd = self.cost.read(n, batch.weight)
-                yield CPU_FUSED(rc, read_cmd) if rc is not None else read_cmd
-            elif rc is not None:
-                yield rc
-            return batch
-        if self.charge_read:
-            read_cmd = self.cost.read(n, batch.weight)
-            pred_cmd = self.cost.predicate(n, batch.weight, max(self.terms, 1))
-            if rc is not None:
-                yield CPU_FUSED(rc, read_cmd, pred_cmd)
-            elif self.fuse:
-                yield CPU_FUSED(read_cmd, pred_cmd)
-            else:
-                yield read_cmd
-                yield pred_cmd
-        else:
-            pred_cmd = self.cost.predicate(n, batch.weight, max(self.terms, 1))
-            yield CPU_FUSED(rc, pred_cmd) if rc is not None else pred_cmd
-        return self._filter(batch)
+        """Next (filtered) batch, or END, with its charge yielded."""
+        batch, cmd = yield from self.read_fused()
+        if cmd is not None:
+            yield cmd
+        return batch
 
     def read_fused(self) -> Iterator[Any]:
-        """Fast mode: like :meth:`read`, but hand the per-batch charge back
-        to the caller as ``(batch, cmd)`` instead of yielding it.  The
-        caller must fuse ``cmd`` (when not None) in front of the very next
-        CPU command it yields, before reading again -- everything in
-        between must be pure computation.  ``(END, None)`` closes the
+        """Like :meth:`read`, but hand the per-batch charge back to the
+        caller as ``(batch, cmd)`` instead of yielding it.  The caller must
+        fuse ``cmd`` (when not None) in front of the very next CPU command
+        it yields, before reading again -- everything in between must be
+        pure computation.  ``(END, None)`` closes the
         stream; END never carries a charge."""
         batch = yield from self.reader.read()
         if batch is END:
@@ -169,7 +134,7 @@ class FilteredInput:
         return self._filter(batch), cmd
 
     def fuse_next_lock(self, cmd):
-        """Fast mode: fuse the *next* read's SPL lock charge as the last
+        """Fuse the *next* read's SPL lock charge as the last
         part of ``cmd`` (see ``SplConsumer.prepay_lock_charge``).  Only
         legal when nothing but pure computation happens between yielding
         the returned command and the next ``read_fused`` call -- in

@@ -7,8 +7,8 @@ bookkeeping and output materialization under "joins".
 
 Both hot loops run vectorized (one comprehension per batch, key indices
 hoisted out of the loop) and the per-batch cycle charges are fused into a
-single simulator event; neither changes the joined rows or a single
-simulated tick (see :mod:`repro.engine.config`)."""
+single simulator event whose parts complete at exactly the instants
+separate yields would."""
 
 from __future__ import annotations
 
@@ -118,7 +118,6 @@ class HashJoinStage(Stage):
         node: "HashJoinNode" = packet.node
         cost = self.engine.cost
         exchange = packet.exchange
-        fuse = self.engine.config.use_fuse_charges()
         yield CPU(cost.packet_dispatch, "misc")
 
         # ---- build phase --------------------------------------------
@@ -145,14 +144,10 @@ class HashJoinStage(Stage):
             else:
                 collect = []
         while True:
-            # Fast mode: the input hands back its per-batch charge so it
-            # rides in front of our hashing/build charge -- one command
-            # per batch for the whole read->filter->build chain.
-            if fuse:
-                batch, fc = yield from build_input.read_fused()
-            else:
-                batch = yield from build_input.read()
-                fc = None
+            # The input hands back its per-batch charge so it rides in
+            # front of our hashing/build charge -- one command per batch
+            # for the whole read->filter->build chain.
+            batch, fc = yield from build_input.read_fused()
             if batch is END:
                 break
             n, w = len(batch), batch.weight
@@ -163,17 +158,13 @@ class HashJoinStage(Stage):
             # The build side materializes rows either way: they become the
             # probe output's tail payloads (dims are small post-filter).
             rows = batch.rows
-            if fuse:
-                # Only pure computation follows until the next read, so the
-                # next read's lock charge rides at the tail of this command.
-                if fc is not None:
-                    cmd = CPU_FUSED(fc, cost.hashing(n, w), cost.build(n, w))
-                else:
-                    cmd = CPU_FUSED(cost.hashing(n, w), cost.build(n, w))
-                yield build_input.fuse_next_lock(cmd)
+            # Only pure computation follows until the next read, so the
+            # next read's lock charge rides at the tail of this command.
+            if fc is not None:
+                cmd = CPU_FUSED(fc, cost.hashing(n, w), cost.build(n, w))
             else:
-                yield cost.hashing(n, w)
-                yield cost.build(n, w)
+                cmd = CPU_FUSED(cost.hashing(n, w), cost.build(n, w))
+            yield build_input.fuse_next_lock(cmd)
             if shared is None:
                 # Private build.  With a shared arrangement the input is
                 # drained and charged identically (the *work* of reading
@@ -196,11 +187,7 @@ class HashJoinStage(Stage):
             single = single_match_table(table)
         empty: tuple = ()
         while True:
-            if fuse:
-                batch, fc = yield from probe_input.read_fused()
-            else:
-                batch = yield from probe_input.read()
-                fc = None
+            batch, fc = yield from probe_input.read_fused()
             if batch is END:
                 break
             n, w = len(batch), batch.weight
@@ -231,19 +218,15 @@ class HashJoinStage(Stage):
             cmds = [cost.hashing(n, w, equals=nout), cost.probe(n, w)]
             if nout:
                 cmds.append(cost.emit_join(nout, w))
-            if fuse:
-                if fc is not None:
-                    cmds.insert(0, fc)
-                fused_cmd = CPU_FUSED(*cmds)
-                if not nout:
-                    # No emission before the next read, so its lock charge
-                    # can ride at the tail (an emit in between would hold
-                    # the input SPL's lock across the emit -- illegal).
-                    fused_cmd = probe_input.fuse_next_lock(fused_cmd)
-                yield fused_cmd
-            else:
-                for cmd in cmds:
-                    yield cmd
+            if fc is not None:
+                cmds.insert(0, fc)
+            fused_cmd = CPU_FUSED(*cmds)
+            if not nout:
+                # No emission before the next read, so its lock charge can
+                # ride at the tail (an emit in between would hold the input
+                # SPL's lock across the emit -- illegal).
+                fused_cmd = probe_input.fuse_next_lock(fused_cmd)
+            yield fused_cmd
             if nout:
                 if not packet.started_emitting:
                     packet.mark_started()

@@ -112,22 +112,20 @@ class TableScanStage(Stage):
         source = PageSource(
             engine.sim, engine.storage, table, start, name=f"scan-{table.name}-p{packet.packet_id}"
         )
-        fuse = engine.config.use_fuse_charges()
-        # Columnar mode: emit zero-copy column views of the page; consumers
-        # run late-materialized.  The scan charge counts rows either way.
-        columnar = engine.config.use_columnar_pages()
         try:
             while exchange.active_consumers > 0:
                 page = yield from source.next()
+                # Emit zero-copy column views of the page; consumers run
+                # late-materialized.  The scan charge counts rows.
                 scan_cmd = cost.scan(len(page), page.weight)
-                if fuse and scan_cmd.cycles > 0:
-                    # Fast mode: the per-page scan charge rides in front of
-                    # the exchange's emit charge (nothing observable happens
+                if scan_cmd.cycles > 0:
+                    # The per-page scan charge rides in front of the
+                    # exchange's emit charge (nothing observable happens
                     # between the two yields).
-                    yield from exchange.emit(page.to_batch(columnar), lead=scan_cmd)
+                    yield from exchange.emit(page.to_batch(), lead=scan_cmd)
                 else:
                     yield scan_cmd
-                    yield from exchange.emit(page.to_batch(columnar))
+                    yield from exchange.emit(page.to_batch())
                 if shared:
                     self._positions[table.name] = source.position
         finally:

@@ -30,7 +30,7 @@ from repro.gqp.ordering import ChainOrderer
 from repro.query.expr import column_indices, row_key_fn
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.packed import as_list
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import Batch
 from repro.storage.prefetch import PageSource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -336,7 +336,7 @@ class CJoinPipeline:
                 addressed.append(state)
             filters, filter_pos = self._filter_chain()
             item = _WorkItem(
-                batch=page.to_batch(self.engine.config.use_columnar_pages()),
+                batch=page.to_batch(),
                 mask=mask,
                 addressed=addressed,
                 filters=filters,
@@ -433,18 +433,13 @@ class CJoinPipeline:
                 # (kernel stays None), so simulated ticks are unchanged.
                 cached = self._fold_dim_selected(dim, dimspec)
             if cached is None:
-                if self.engine.config.use_batch_kernels():
-                    kernel = dimspec.predicate.compile_batch(dim.schema)
-                else:
-                    pred = dimspec.predicate.compile(dim.schema)
-                    kernel = lambda rows, _p=pred: [r for r in rows if _p(r)]  # noqa: E731
-        fuse = self.engine.config.use_fuse_charges()
-        # Fuse mode: prepay the next page's buffer-pool latch charge at the
-        # tail of this page's scan/predicate command -- only pure compute
-        # happens in between, so the charge instants are unchanged and one
+                kernel = dimspec.predicate.compile_batch(dim.schema)
+        # Prepay the next page's buffer-pool latch charge at the tail of
+        # this page's scan/predicate command -- only pure compute happens
+        # in between, so the charge instants are unchanged and one
         # simulator event per page disappears (admission scans every dim
         # page per admitted query, the hottest page loop in CJOIN).
-        prepay = self.storage.latch_prepay_charge() if fuse else None
+        prepay = self.storage.latch_prepay_charge()
         fused_cmds: dict[int, Any] = {}
         last = dim.num_pages - 1
         prepaid = False
@@ -456,19 +451,15 @@ class CJoinPipeline:
             if dimspec.predicate is not None:
                 scan_cmd = cost.scan(n, page.weight)
                 pred_cmd = cost.predicate(n, page.weight, max(terms, 1))
-                if fuse:
-                    if prepay is not None and page_index < last:
-                        cmd = fused_cmds.get(n)
-                        if cmd is None:
-                            cmd = fused_cmds[n] = CPU_FUSED(scan_cmd, pred_cmd, prepay)
-                        prepaid = True
-                    else:
-                        cmd = CPU_FUSED(scan_cmd, pred_cmd)
-                        prepaid = False
-                    yield cmd
+                if prepay is not None and page_index < last:
+                    cmd = fused_cmds.get(n)
+                    if cmd is None:
+                        cmd = fused_cmds[n] = CPU_FUSED(scan_cmd, pred_cmd, prepay)
+                    prepaid = True
                 else:
-                    yield scan_cmd
-                    yield pred_cmd
+                    cmd = CPU_FUSED(scan_cmd, pred_cmd)
+                    prepaid = False
+                yield cmd
                 if kernel is not None:
                     selected.extend(kernel(rows))
             else:
@@ -546,7 +537,6 @@ class CJoinPipeline:
         filters with its selected dimension tuples, and register its point
         of entry on the circular fact scan."""
         cost = self.cost
-        fuse = self.engine.config.use_fuse_charges()
         node, agg_node = self._split_node(packet)
         slot = self.slots.alloc()
         bit = 1 << slot
@@ -612,11 +602,7 @@ class CJoinPipeline:
             if cmds:
                 # Pure bookkeeping between the charges (pipeline paused):
                 # fuse them into one event per extended filter.
-                if fuse and len(cmds) > 1:
-                    yield CPU_FUSED(*cmds)
-                else:
-                    for cmd in cmds:
-                        yield cmd
+                yield CPU_FUSED(*cmds)
         for name, flt in self.filters.items():
             if name in referenced:
                 flt.referencing.add(slot)
@@ -698,7 +684,7 @@ class CJoinPipeline:
         (including the survivor-count-dependent ``emit_join``) can be fused
         into one simulator event; the computation is pure Python between
         yields, so the charge values, their order, and every simulated tick
-        are identical to the unfused sequence."""
+        are identical to separate yields."""
         cost = self.cost
         w = item.batch.weight
         rows = item.rows
@@ -737,11 +723,7 @@ class CJoinPipeline:
             # payload) costs the same as a query-centric join's output
             # materialization.
             cmds.append(cost.emit_join(len(new_rows), w))
-        if self.engine.config.use_fuse_charges():
-            yield CPU_FUSED(*cmds)
-        else:
-            for cmd in cmds:
-                yield cmd
+        yield CPU_FUSED(*cmds)
         item.rows, item.bms, item.dims = new_rows, new_bms, new_dims
 
     # ------------------------------------------------------------------
@@ -771,8 +753,8 @@ class CJoinPipeline:
         cost = self.cost
         batch = item.batch
         w = batch.weight
-        if type(batch) is ColumnBatch and n == len(batch):
-            # First filter of a columnar page: the FK keys come straight
+        if n == len(batch):
+            # First filter of a page: the FK keys come straight
             # off the page's column vector -- no per-row tuple access.
             # Packed vectors decode once per page (memoized) so revisits
             # probe cached boxed keys.
@@ -813,8 +795,8 @@ class CJoinPipeline:
         """Drive the whole chain through the columnar kernels, fusing the
         bitmap-AND charge groups of consecutive filters into one simulator
         event (charge values and their order match the per-filter path;
-        only skipped filters' charges are elided).  ``prefix`` (fuse mode
-        only) is the caller's page-sync charge, riding at the head of the
+        only skipped filters' charges are elided).  ``prefix`` is the
+        caller's page-sync charge, riding at the head of the
         fused command -- its charge instant is unchanged and one more
         simulator event per page disappears."""
         cmds: list[CpuCommand] = [] if prefix is None else [prefix]
@@ -824,11 +806,7 @@ class CJoinPipeline:
                 break
             self._filter_kernel(item, flt, cmds)
         if len(cmds) > base:
-            if self.engine.config.use_fuse_charges():
-                yield CPU_FUSED(*cmds)
-            else:
-                for cmd in cmds:
-                    yield cmd
+            yield CPU_FUSED(*cmds)
         elif prefix is not None:
             yield prefix
 
@@ -836,20 +814,16 @@ class CJoinPipeline:
         """Horizontal configuration: each worker carries a page through the
         whole filter chain."""
         cost = self.cost
-        # The per-page sync charge is immutable -- build it once.  In fuse
-        # mode (with the chain kernels and no adaptive orderer, whose EWMA
-        # folds are order-sensitive across workers) it rides at the head of
-        # the chain's fused command instead of being its own event.
+        # The per-page sync charge is immutable -- build it once.  With the
+        # chain kernels and no adaptive orderer (whose EWMA folds are
+        # order-sensitive across workers) it rides at the head of the
+        # chain's fused command instead of being its own event.
         sync = CPU(cost.filter_sync_page, "locks")
         while True:
             item = yield from self._page_chan.get()
             if item is Channel.CLOSED:  # pragma: no cover - pipeline never closes
                 return
-            fuse_sync = (
-                self.filter_kernels
-                and self.orderer is None
-                and self.engine.config.use_fuse_charges()
-            )
+            fuse_sync = self.filter_kernels and self.orderer is None
             if not fuse_sync:
                 yield sync
             rows = item.batch.rows
@@ -879,11 +853,7 @@ class CJoinPipeline:
             if item is Channel.CLOSED:  # pragma: no cover
                 return
             use_kernel = self.filter_kernels and position < len(item.filters)
-            fuse_sync = (
-                use_kernel
-                and self.orderer is None
-                and self.engine.config.use_fuse_charges()
-            )
+            fuse_sync = use_kernel and self.orderer is None
             if not fuse_sync:
                 yield sync
             if position == 0:
@@ -897,11 +867,7 @@ class CJoinPipeline:
                     base = len(cmds)
                     self._filter_kernel(item, item.filters[position], cmds)
                     if len(cmds) > base:
-                        if self.engine.config.use_fuse_charges():
-                            yield CPU_FUSED(*cmds)
-                        else:
-                            for cmd in cmds:
-                                yield cmd
+                        yield CPU_FUSED(*cmds)
                     elif fuse_sync:
                         yield sync
                 else:
@@ -939,13 +905,12 @@ class CJoinPipeline:
             bms = item.bms
             dims = item.dims
             filter_pos = item.filter_pos
-            fuse = self.engine.config.use_fuse_charges()
             for state in item.addressed:
                 # The bitmap pass is one comprehension over the parallel
                 # ``bms`` list with the query's bit pre-bound -- no per-row
                 # triple unpacking.  Charges for the selection, routing and
                 # (optional) shared-aggregation update fuse into one event;
-                # values and order match the unfused sequence exactly.
+                # values and order match separate yields exactly.
                 bit = state.bit
                 pred = state.fact_pred
                 sel = [j for j, bm in enumerate(bms) if bm & bit]
@@ -966,11 +931,7 @@ class CJoinPipeline:
                             "aggregation",
                         ))
                 if cmds:
-                    if fuse:
-                        yield CPU_FUSED(*cmds)
-                    else:
-                        for cmd in cmds:
-                            yield cmd
+                    yield CPU_FUSED(*cmds)
                 if out:
                     if state.agg_groups is not None:
                         # Shared aggregation: fold into running sums instead

@@ -262,21 +262,12 @@ def _prewarm_datasets(items: Sequence[Any]) -> None:
     wasted work, so it is skipped (workers memoize per process instead)."""
     if multiprocessing.get_start_method() != "fork":
         return
-    from repro.sim.fastpath import columnar_pages_default
-
-    warm = columnar_pages_default()
     seen = set()
     for item in items:
         dataset = getattr(item, "dataset", None)
         if dataset is not None and dataset not in seen:
             seen.add(dataset)
-            ds = dataset.generate()
-            if warm:
-                # Columnar plane: also materialize the column caches so
-                # workers inherit the vectors copy-on-write instead of
-                # each lazily re-slicing pages into columns.
-                for table in ds.tables.values():
-                    table.warm_columns()
+            dataset.generate()
 
 
 def _hard_shutdown(pool: ProcessPoolExecutor) -> None:

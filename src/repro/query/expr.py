@@ -23,7 +23,7 @@ hoisted into the closure, amortizing the per-row interpretation cost the
 same way vectorized engines amortize per-tuple interpretation over blocks.
 Every other shape falls back to wrapping the row closure, so the kernel is
 *always* semantically identical to filtering with ``compile``: it selects
-exactly the same rows in the same order (tests/query/test_batch_kernels.py
+exactly the same rows in the same order (the batch-kernel property suite
 holds every shape to that).
 
 Column kernels
@@ -38,8 +38,8 @@ keep, in the same order (the property suite in ``tests/storage`` holds
 arbitrary schemas/predicates to that).  Shapes without a column form
 return ``None`` and the caller falls back to the row kernel.
 
-When a column arrives dictionary-encoded (``packed_storage`` fast path,
-see :mod:`repro.storage.packed`), the leaf kernels switch to
+When a column arrives dictionary-encoded (packed storage, see
+:mod:`repro.storage.packed`), the leaf kernels switch to
 predicate-on-dictionary evaluation: the predicate is applied once per
 *distinct value* into a 256-byte pass table memoized on the shared
 ``Dictionary`` by the predicate's signature, then a full page filters

@@ -919,15 +919,11 @@ class ResidualOperator:
 
     __slots__ = ("plan", "_filter", "_project", "_groups", "_measures", "_key_idx")
 
-    def __init__(self, plan: FoldPlan, provider_schema: "Schema", batch_kernels: bool = True):
+    def __init__(self, plan: FoldPlan, provider_schema: "Schema"):
         self.plan = plan
         self._filter: Callable[[list], list] | None = None
         if plan.residual is not None:
-            if batch_kernels:
-                self._filter = plan.residual.compile_batch(provider_schema)
-            else:
-                pred = plan.residual.compile(provider_schema)
-                self._filter = lambda rows, _p=pred: [r for r in rows if _p(r)]
+            self._filter = plan.residual.compile_batch(provider_schema)
         self._project: Callable[[tuple], tuple] | None = None
         if plan.project is not None:
             idx = plan.project

@@ -118,15 +118,10 @@ class ShardService:
         self.now = 0.0
         # Fork-COW prewarm (same trick as the sweep fabric): generate the
         # dataset in the parent before spawning so every worker inherits
-        # the memoized tables copy-on-write instead of regenerating them.
-        # With the columnar plane on, also materialize the fact table's
-        # column vectors: the workers' zero-copy partition slices/gathers
-        # (repro.shard.partition) then read shared pages instead of each
-        # re-deriving columns from row tuples.
+        # the memoized tables copy-on-write instead of regenerating them
+        # (the workers' zero-copy partition slices/gathers then read the
+        # parent's packed column vectors).
         ds = config.dataset.generate()
-        if config.fast_flags[2]:
-            for table in ds.tables.values():
-                table.warm_columns()
         # Shared-arrangement prewarm (same fork-COW trick): build each
         # dimension's join arrangement on its key (first schema column --
         # the generators' PK-first convention) BEFORE spawning, so every
@@ -136,7 +131,8 @@ class ShardService:
         # the scatter-cost prewarm); reusing queries pay only their probe
         # cost, which their simulated service times already contain.
         arrange_cycles = 0.0
-        if len(config.fast_flags) > 4 and config.fast_flags[4]:
+        arrangements, _query_folding = config.fast_flags
+        if arrangements:
             from repro.storage.arrangements import ARRANGEMENTS
 
             for name in sorted(ds.tables):

@@ -49,9 +49,10 @@ class ShardConfig:
     dataset: DatasetSpec = DatasetSpec("ssb", 1.0, 42)
     storage: StorageConfig = StorageConfig()
     machine: MachineSpec = PAPER_MACHINE
-    #: host fast-path / GQP-plane flags captured at construction in the
-    #: parent (same mechanism as CellSpec: workers replay the parent mode)
-    fast_flags: tuple[bool, ...] = field(default_factory=current_fast_flags)
+    #: (arrangements, query_folding) and GQP-plane flags captured at
+    #: construction in the parent (same mechanism as CellSpec: workers
+    #: replay the parent mode)
+    fast_flags: tuple[bool, bool] = field(default_factory=current_fast_flags)
     gqp_flags: tuple[bool, bool] = field(default_factory=current_gqp_flags)
     #: wall-clock seconds the gather waits per shard before declaring the
     #: worker stuck (kill + respawn, no retry)

@@ -74,17 +74,15 @@ def execute_shard_query(
 
 def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:
     """Process entry point: build the shard, handshake, serve requests."""
-    flags = config.fast_flags
-    ctx = fast_path(*flags) if flags != current_fast_flags() else nullcontext()
+    arrangements, query_folding = config.fast_flags
+    ctx = (
+        fast_path(arrangements, query_folding)
+        if config.fast_flags != current_fast_flags()
+        else nullcontext()
+    )
     gflags = config.gqp_flags
     gctx = gqp_plane(*gflags) if gflags != current_gqp_flags() else nullcontext()
     with ctx, gctx:
-        # Build inside the flag context: the packed/columnar layout is
-        # baked into tables at generation time, so a worker replaying a
-        # parent whose mode differs from this process's env defaults must
-        # regenerate under the parent's flags (the dataset memo is keyed
-        # by the effective layout, so the COW prewarm hit survives the
-        # common flags-match case).
         dataset = config.dataset.generate()
         tables = shard_tables(
             dataset.tables,
@@ -93,7 +91,6 @@ def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:
             config.n_shards,
             config.partition,
             config.partition_salt,
-            columnar=config.fast_flags[2],
         )
         fact = tables[config.fact_table]
         fact_rows = fact.num_rows

@@ -71,7 +71,7 @@ class CpuPool:
         #: cycles, category)`` exactly when a fused part *starts* -- the
         #: same instant its unfused equivalent would have been dispatched.
         self.charge: Callable[["SimThread", float, str], None] | None = None
-        # ---- armed-event dedup (owned by Simulator._arm_pool fast path):
+        # ---- armed-event dedup (owned by Simulator._push_pool_event):
         # time of the single live completion event, a token invalidating
         # superseded events, and the freshest (time, version) estimate.
         self.armed_when: float | None = None

@@ -14,7 +14,6 @@ from typing import Any, Callable, ClassVar, Generator
 
 from repro.sim.commands import BLOCK, CpuCommand, IoCommand, SleepCommand
 from repro.sim.cpu import CpuPool
-from repro.sim.fastpath import fuse_charges_default
 from repro.sim.iodev import IoDevice
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.metrics import Metrics
@@ -72,13 +71,9 @@ class Simulator:
         self._daemons: set[SimThread] = set()
         self._pending_error: tuple[SimThread, BaseException] | None = None
         self._run_until: float | None = None
-        # Snapshot of the fuse_charges fast-path flag, refreshed at run()
-        # entry (the flag never flips mid-run; reading it once avoids a
-        # dict lookup on every dispatched command).
-        self._fuse = fuse_charges_default()
-        # True while _resume may take its inline CPU branch: fuse mode and
-        # _dispatch not wrapped on the instance (Tracer flips this).
-        self._fast_resume = self._fuse
+        # True while _resume may take its inline CPU branch: _dispatch not
+        # wrapped on the instance (Tracer flips this).
+        self._fast_resume = True
         # Cached metric-dict references (refreshed at run() entry: the
         # service tier swaps sim.metrics for an extended object after
         # construction) -- saves an attribute hop per dispatched command.
@@ -153,7 +148,7 @@ class Simulator:
         finally:
             self.current = prev
         if type(cmd) is CpuCommand and self._fast_resume:
-            # Inline copy of _dispatch's fast CPU branch -- every worker
+            # Inline copy of _dispatch's CPU branch -- every worker
             # yield funnels through here, so the extra call is measurable.
             # Keep in lockstep with _dispatch.  Skipped whenever _dispatch
             # is wrapped on the instance (e.g. an attached Tracer), so
@@ -250,55 +245,49 @@ class Simulator:
                 return
             thread.state = ThreadState.ON_CPU
             pool = self.cpu
-            if self._fuse:
-                # Inline CpuPool.add + next_completion + the dedup arm of
-                # _arm_pool: one advance, one push, and the post-add
-                # completion estimate with the exact same arithmetic (the
-                # second advance would be a dt=0 no-op).
-                now = self.now
-                waker = thread._waker
-                if waker is None:
-                    waker = self._make_waker(thread)
-                pheap = pool._heap
-                rates = pool._rates
-                dt = now - pool._last_update
-                if dt > 0:
-                    n = len(pheap)
-                    if n:
-                        try:
-                            r = rates[n]
-                        except IndexError:
-                            r = pool._rate_for(n)
-                        pool.service += r * dt
-                        pool.util_integral += min(n, pool.cores) * dt
-                        pool.busy_time += dt
-                    pool._last_update = now
-                elif dt < 0:
-                    raise AssertionError(
-                        f"time went backwards: {pool._last_update} -> {now}"
-                    )
-                service = pool.service
-                pool._seq += 1
-                heapq.heappush(
-                    pheap,
-                    (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, waker, rest),
-                )
-                pool._version += 1
-                remaining = pheap[0][0] - service
+            # Inline CpuPool.add + next_completion + the single-live-event
+            # arm: one advance, one push, and the post-add completion
+            # estimate with the exact arithmetic of next_completion (the
+            # second advance would be a dt=0 no-op).
+            now = self.now
+            waker = thread._waker
+            if waker is None:
+                waker = self._make_waker(thread)
+            pheap = pool._heap
+            rates = pool._rates
+            dt = now - pool._last_update
+            if dt > 0:
                 n = len(pheap)
-                try:
-                    rate = rates[n]
-                except IndexError:
-                    rate = pool._rate_for(n)
-                when = now + (remaining if remaining > 0.0 else 0.0) / rate
-                pool.fresh_when = when
-                pool.fresh_version = pool._version
-                armed = pool.armed_when
-                if armed is None or when < armed:
-                    self._push_pool_event(pool, when)
-                return
-            pool.add(self.now, thread, cycles, self._make_waker(thread), rest)
-            self._arm_pool(pool)
+                if n:
+                    try:
+                        r = rates[n]
+                    except IndexError:
+                        r = pool._rate_for(n)
+                    pool.service += r * dt
+                    pool.util_integral += min(n, pool.cores) * dt
+                    pool.busy_time += dt
+                pool._last_update = now
+            elif dt < 0:
+                raise AssertionError(f"time went backwards: {pool._last_update} -> {now}")
+            service = pool.service
+            pool._seq += 1
+            heapq.heappush(
+                pheap,
+                (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, waker, rest),
+            )
+            pool._version += 1
+            remaining = pheap[0][0] - service
+            n = len(pheap)
+            try:
+                rate = rates[n]
+            except IndexError:
+                rate = pool._rate_for(n)
+            when = now + (remaining if remaining > 0.0 else 0.0) / rate
+            pool.fresh_when = when
+            pool.fresh_version = pool._version
+            armed = pool.armed_when
+            if armed is None or when < armed:
+                self._push_pool_event(pool, when)
         elif cmd_type is IoCommand:
             device = self.devices.get(cmd.device)
             if device is None:
@@ -310,50 +299,46 @@ class Simulator:
                 heapq.heappush(self._heap, (self.now, self._seq, (thread, None, 0)))
                 return
             thread.state = ThreadState.ON_IO
-            if self._fuse:
-                # Mirror of the CPU branch for the shared-bandwidth device.
-                now = self.now
-                waker = thread._waker
-                if waker is None:
-                    waker = self._make_waker(thread)
-                pheap = device._heap
-                rates = device._rates
-                dt = now - device._last_update
-                if dt > 0:
-                    n = len(pheap)
-                    if n:
-                        try:
-                            r = rates[n]
-                        except IndexError:
-                            r = device._rate_for(n)
-                        device.service += r * dt
-                        device.busy_time += dt
-                    device._last_update = now
-                elif dt < 0:
-                    raise AssertionError(f"time went backwards on {device.name}")
-                charged = nbytes if nbytes > 0.0 else 0.0
-                device.bytes_delivered += charged
-                if not cmd.sequential:
-                    charged *= device.random_multiplier
-                service = device.service
-                device._seq += 1
-                heapq.heappush(pheap, (service + charged, device._seq, thread, waker, ()))
-                device._version += 1
-                remaining = pheap[0][0] - service
+            # Mirror of the CPU branch for the shared-bandwidth device.
+            now = self.now
+            waker = thread._waker
+            if waker is None:
+                waker = self._make_waker(thread)
+            pheap = device._heap
+            rates = device._rates
+            dt = now - device._last_update
+            if dt > 0:
                 n = len(pheap)
-                try:
-                    rate = rates[n]
-                except IndexError:
-                    rate = device._rate_for(n)
-                when = now + (remaining if remaining > 0.0 else 0.0) / rate
-                device.fresh_when = when
-                device.fresh_version = device._version
-                armed = device.armed_when
-                if armed is None or when < armed:
-                    self._push_pool_event(device, when)
-                return
-            device.add(self.now, thread, nbytes, cmd.sequential, self._make_waker(thread))
-            self._arm_pool(device)
+                if n:
+                    try:
+                        r = rates[n]
+                    except IndexError:
+                        r = device._rate_for(n)
+                    device.service += r * dt
+                    device.busy_time += dt
+                device._last_update = now
+            elif dt < 0:
+                raise AssertionError(f"time went backwards on {device.name}")
+            charged = nbytes if nbytes > 0.0 else 0.0
+            device.bytes_delivered += charged
+            if not cmd.sequential:
+                charged *= device.random_multiplier
+            service = device.service
+            device._seq += 1
+            heapq.heappush(pheap, (service + charged, device._seq, thread, waker, ()))
+            device._version += 1
+            remaining = pheap[0][0] - service
+            n = len(pheap)
+            try:
+                rate = rates[n]
+            except IndexError:
+                rate = device._rate_for(n)
+            when = now + (remaining if remaining > 0.0 else 0.0) / rate
+            device.fresh_when = when
+            device.fresh_version = device._version
+            armed = device.armed_when
+            if armed is None or when < armed:
+                self._push_pool_event(device, when)
         elif cmd_type is SleepCommand:
             thread.state = ThreadState.SLEEPING
 
@@ -371,13 +356,9 @@ class Simulator:
             )
 
     def _make_waker(self, thread: SimThread) -> Callable[[], None]:
-        if self._fuse:
-            # The waker is stateless (closes only over the thread and the
-            # simulator), so the fast path builds it once per thread
-            # instead of once per dispatched command.
-            waker = thread._waker
-            if waker is not None:
-                return waker
+        """The thread's pool-completion callback.  It is stateless (closes
+        only over the thread and the simulator), so it is built once per
+        thread and cached on it."""
 
         def wake() -> None:
             thread.state = ThreadState.READY
@@ -386,52 +367,26 @@ class Simulator:
         thread._waker = wake
         return wake
 
-    def _arm_pool(self, pool: CpuPool | IoDevice, when: float | None = None) -> None:
-        """Schedule the pool's next completion on the event heap.
-
-        Slow path (seed behavior): every call pushes a fresh closure that
-        carries the pool ``version`` it was computed under and no-ops if
-        membership changed before it fires -- so a busy pool leaves a trail
-        of stale events behind it (one per membership change).
-
-        Fast path (``fuse_charges`` on): keep at most ONE live event per
-        pool.  Every call still computes ``when`` with the exact arithmetic
-        of the slow path (recording it as the pool's *fresh* estimate), but
-        only pushes when the new estimate is not later than the live event
-        -- a later estimate means the live, earlier event will fire first
-        and *chase* the fresh estimate by re-pushing itself at it.  Chasing
-        re-materializes the exact event time the slow path computed (never
-        recomputes it at fire time, which would change the float), so pools
-        advance and pop at exactly the same instants in both modes.  The
-        eliminated events are precisely the slow path's stale no-ops, whose
-        times are provably earlier than the member's actual pop time
-        (entries leave a cumulative-service pool in target order, so an
-        estimate can only move *later*), hence unobservable."""
-        if when is None:
-            when = pool.next_completion(self.now)
-            if when is None:
-                return
-        if not self._fuse:
-            version = pool.version
-
-            def fire() -> None:
-                if pool.version != version:
-                    return  # membership changed; a fresher event is armed
-                self._service_pool(pool)
-
-            self.call_at(when, fire)
-            return
-        pool.fresh_when = when
-        pool.fresh_version = pool.version
-        armed = pool.armed_when
-        if armed is not None and when >= armed:
-            return  # the live event at `armed` fires first (or now) and chases
-        self._push_pool_event(pool, when)
-
     def _push_pool_event(self, pool: CpuPool | IoDevice, when: float) -> None:
-        """Push the pool's single live completion event.  Fast-path events
-        are ``(pool, token)`` tuples interpreted by the run loop (no
-        per-event closure); ``when`` is always >= ``self.now`` here."""
+        """Push the pool's single live completion event.
+
+        Each pool keeps at most ONE live event on the heap.  Every
+        membership change computes the pool's next completion with the
+        exact arithmetic of ``next_completion`` and records it as the
+        pool's *fresh* estimate, but only pushes when the new estimate is
+        earlier than the live event -- a later estimate means the live,
+        earlier event fires first and *chases* the fresh estimate by
+        re-pushing itself at it.  Chasing re-materializes the recorded
+        event time (never recomputes it at fire time, which would change
+        the float), so pools advance and pop at exactly the instants a
+        one-event-per-membership-change scheme would; the elided events
+        are that scheme's stale no-ops, whose times are provably earlier
+        than the member's actual pop time (entries leave a
+        cumulative-service pool in target order, so an estimate can only
+        move *later*), hence unobservable.
+
+        Events are ``(pool, token)`` tuples interpreted by the run loop
+        (no per-event closure); ``when`` is always >= ``self.now`` here."""
         token = pool.arm_token + 1
         pool.arm_token = token
         pool.armed_when = when
@@ -439,36 +394,18 @@ class Simulator:
         heapq.heappush(self._heap, (when, self._seq, (pool, token)))
 
     def _service_pool(self, pool: CpuPool | IoDevice) -> None:
-        """Pop and process the pool's due completions at ``self.now``.
-
-        Slow path (seed behavior): one ``pop_completed`` round, invoke the
-        callbacks in completion order, re-arm through ``next_completion``.
-        The fast path lives in ``_service_pool_fast``."""
-        if self._fuse:
-            self._service_pool_fast(pool)
-            return
-        completed = pool.pop_completed(self.now)
-        if not completed:
-            # Float round-off left the top element a hair short; nudge.
-            self._arm_pool(pool, self.now + 1e-9)
-            return
-        for _thread, on_done in completed:
-            on_done()
-        self._arm_pool(pool)
-
-    def _service_pool_fast(self, pool: CpuPool | IoDevice) -> None:
-        """Fast-mode pool servicing: ``pop_completed``, the fused-part
+        """Pool servicing: ``pop_completed``, the fused-part
         continuations, ``next_completion`` and the re-arm, all inlined.
 
         Servicing a pool is *the* hot loop of a simulated run -- every CPU
-        charge and every disk read funnels through here -- so the fast path
-        flattens what is otherwise ~10 Python calls per completion into a
-        single frame.  Every float operation is kept literally identical to
-        the method it replaces (``advance``'s service/utilization updates,
+        charge and every disk read funnels through here -- so it flattens
+        what is otherwise ~10 Python calls per completion into a single
+        frame.  Every float operation is kept literally identical to the
+        pool method it inlines (``advance``'s service/utilization updates,
         ``pop_completed``'s epsilon test, ``_part_continuation``'s
         charge-and-re-add, ``next_completion``'s remaining/rate division),
-        so simulated results stay bit-identical to the slow path -- the
-        golden determinism test holds both modes to one snapshot.
+        so the pools' own API (unit-tested directly) and the simulator agree
+        bit for bit.
 
         Structure per round: (1) advance the pool to ``self.now``; (2)
         two-phase pop -- collect *all* due entries first, then process them
@@ -619,8 +556,7 @@ class Simulator:
         prev_active = Simulator._active
         Simulator._active = self
         self._run_until = until
-        self._fuse = fuse_charges_default()
-        self._fast_resume = self._fuse and "_dispatch" not in self.__dict__
+        self._fast_resume = "_dispatch" not in self.__dict__
         self._by_category = self.metrics.cpu_cycles_by_category
         self._by_query = self.metrics.cpu_cycles_by_query
         # The event loop runs hundreds of thousands of iterations per
@@ -628,7 +564,7 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        service_fast = self._service_pool_fast
+        service_pool = self._service_pool
         push_pool_event = self._push_pool_event
         resume = self._resume
         try:
@@ -643,7 +579,7 @@ class Simulator:
                 fn = item[2]
                 if type(fn) is tuple:
                     if len(fn) == 2:
-                        # A pool's live completion event (fast path): validate
+                        # A pool's live completion event: validate
                         # the token, chase a later fresh estimate, or service.
                         pool = fn[0]
                         if fn[1] == pool.arm_token:
@@ -656,7 +592,7 @@ class Simulator:
                                     # recorded fresh estimate.
                                     push_pool_event(pool, fresh)
                                 else:
-                                    service_fast(pool)
+                                    service_pool(pool)
                     else:
                         # A thread resume event: (thread, value, 0) -- the
                         # closure-free form of spawn/unblock scheduling.

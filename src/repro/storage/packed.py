@@ -1,7 +1,7 @@
 """Packed column vectors: typed arrays and dictionary-encoded columns.
 
-This module is the storage half of the ``packed_storage`` fast path (see
-:mod:`repro.sim.fastpath`): instead of tuples/lists of *boxed* Python
+Every table's column vectors are packed at load (see
+:mod:`repro.storage.table`): instead of tuples/lists of *boxed* Python
 objects, hot-path column vectors are held as
 
 * :class:`PackedNumeric` -- an ``array.array`` of machine ints (``'q'``)
@@ -32,9 +32,7 @@ doubles bit-for-bit).  Values whose type would not survive (huge ints,
 int/float/bool aliasing across a column, unhashable values) simply fall
 back to a plain boxed list; the packed layer is an opportunistic
 representation, never a semantic change.  Simulated CPU/IO charges are
-computed from row counts, which packing does not alter, so simulated
-metrics are bit-identical packed or boxed (the golden suite holds both
-modes to that).
+computed from row counts, which packing does not alter.
 """
 
 from __future__ import annotations

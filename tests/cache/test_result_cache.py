@@ -182,7 +182,7 @@ def _node_pool():
     from repro.storage.table import Table
 
     schema = Schema([Column("a"), Column("b"), Column("c")], row_bytes=24)
-    fact = Table("t", schema, [(1, 2, 3)], packed=False)
+    fact = Table("t", schema, [(1, 2, 3)])
     aggs = (AggSpec("sum", Col("c"), "sum_c"), AggSpec("count", None, "n"))
 
     def select(pred):

@@ -102,18 +102,18 @@ def test_workload_specs_match_generators():
 def test_fast_flags_captured_at_enumeration():
     """A ``with fast_path(...)`` around spec enumeration reaches workers:
     the flags ride in the spec, not in process-global state."""
-    with fast_path(batch_kernels=False, fuse_charges=False):
+    with fast_path(query_folding=True):
         spec = _specs(1)[0]
-        assert spec.fast_flags == (False, False, False, False, False, False)
-    # Outside the context the columnar flag falls back to its env default
-    # (REPRO_COLUMNAR), so only pin the first two here.
-    assert current_fast_flags()[:2] == (True, True)
-    # Executing outside the context still replays the captured slow path,
-    # and simulated results equal the fast path's (the golden guarantee).
-    slow = execute_cell(spec)
-    fast = execute_cell(_specs(1)[0])
-    assert slow.result.response_times == fast.result.response_times
-    assert slow.result.sim_seconds == fast.result.sim_seconds
+        assert spec.fast_flags == (True, True)
+    with fast_path(query_folding=False):
+        assert current_fast_flags() == (True, False)
+        # Executing under other process flags replays the captured mode:
+        # simulated results equal a run under the captured flags.
+        replayed = execute_cell(spec)
+    with fast_path(query_folding=True):
+        direct = execute_cell(_specs(1)[0])
+    assert replayed.result.response_times == direct.result.response_times
+    assert replayed.result.sim_seconds == direct.result.sim_seconds
 
 
 def test_bad_specs_rejected():

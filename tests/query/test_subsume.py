@@ -154,18 +154,15 @@ def test_residual_restores_strong_exactly(weak, extra, rows):
     weak=maybe_predicates,
     extra=conj_lists,
     rows=rows_strategy,
-    kernels=st.booleans(),
 )
-def test_residual_operator_equals_direct(weak, extra, rows, kernels):
+def test_residual_operator_equals_direct(weak, extra, rows):
     """Streaming the provider's (weak-filtered) rows through the compiled
     ResidualOperator must equal evaluating the consumer's predicate
-    directly, on both the batch-kernel and row-closure filter paths."""
+    directly."""
     strong = and_of(conjuncts(weak) + extra)
     ok, residual = predicate_subsumes(weak, strong)
     assert ok
-    op = ResidualOperator(
-        FoldPlan(residual=and_of(residual)), SCHEMA, batch_kernels=kernels
-    )
+    op = ResidualOperator(FoldPlan(residual=and_of(residual)), SCHEMA)
     provider_rows = [rows[i] for i in passing(weak, rows)]
     assert op.apply(provider_rows) == [rows[i] for i in passing(strong, rows)]
 
@@ -261,7 +258,7 @@ def test_rollup_reaggregation_equals_direct(
     (Fraction arithmetic) and in the same emission order."""
     aggs = _aggs()
     consumer_aggs = tuple(a for i, a in enumerate(aggs) if agg_mask >> i & 1)
-    table = Table("t", SCHEMA, rows, packed=False)
+    table = Table("t", SCHEMA, rows)
 
     def child(pred):
         scan = ScanNode(table)
@@ -294,7 +291,7 @@ def test_rollup_residual_on_nongroup_column_is_rejected(rows, weak, extra):
     """A residual conjunct on a column the provider did not group by can't
     run over finalized groups; fold_plan must refuse rather than guess."""
     aggs = _aggs()
-    table = Table("t", SCHEMA, rows, packed=False)
+    table = Table("t", SCHEMA, rows)
     scan = ScanNode(table)
     strong_extra = and_of(conjuncts(weak) + extra + [Cmp(">", "c", 1)])
     provider = AggregateNode(
@@ -315,7 +312,7 @@ def test_fold_planner_prefers_fewest_residual_terms():
     from repro.query.expr import Col
 
     aggs = (AggSpec("sum", Col("c"), "sum_c"),)
-    table = Table("t", SCHEMA, [(1, 2, 3)], packed=False)
+    table = Table("t", SCHEMA, [(1, 2, 3)])
     scan = ScanNode(table)
     consumer = AggregateNode(
         SelectNode(scan, And(Between("a", 1, 4), Between("b", 0, 2))),
@@ -344,10 +341,10 @@ def test_fold_planner_prefers_fewest_residual_terms():
 # and aggregates.  Half the pairs are a provider and a narrowing of it, so
 # the contract is exercised on real folds, not only on misses.
 DIM_SCHEMA = Schema([Column("k"), Column("x")], row_bytes=16)
-FACTS = {n: Table(n, SCHEMA, [(1, 2, 3)], packed=False) for n in ("t", "u")}
-DIM = Table("d", DIM_SCHEMA, [(3, 4)], packed=False)
+FACTS = {n: Table(n, SCHEMA, [(1, 2, 3)]) for n in ("t", "u")}
+DIM = Table("d", DIM_SCHEMA, [(3, 4)])
 #: the inner dimension of a nested join tree (distinct column names)
-INNER_DIM = Table("e", Schema([Column("j"), Column("y")], row_bytes=16), [(3, 4)], packed=False)
+INNER_DIM = Table("e", Schema([Column("j"), Column("y")], row_bytes=16), [(3, 4)])
 
 fact_preds = st.sampled_from(
     [None, Between("a", 0, 5), Between("a", 1, 3), Cmp(">", "b", 0),

@@ -3,8 +3,8 @@
 
 Two layers of guarantees:
 
-* **Probe equivalence** (hypothesis, over arbitrary generated tables in
-  every layout): the arrangement's hash variant returns exactly the
+* **Probe equivalence** (hypothesis, over arbitrary generated tables):
+  the arrangement's hash variant returns exactly the
   positions a naive per-query dict build would; the sorted variant's
   range lookups return exactly what a naive filter keeps; the memoized
   single-match views equal freshly-built ones for any predicate.
@@ -47,23 +47,23 @@ def unique_rows(keys_base: int, vals: list[int]) -> list[tuple]:
     return [(keys_base + j, v, j % 4) for j, v in enumerate(vals)]
 
 
-def build_table(rows, packed: bool, tpp: int = 7) -> Table:
-    return Table("dim", SCHEMA, rows, tuples_per_page=tpp, packed=packed)
+def build_table(rows, tpp: int = 7) -> Table:
+    return Table("dim", SCHEMA, rows, tuples_per_page=tpp)
 
 
 # ----------------------------------------------------------------------
 # Hash variant: arrangement probe == naive per-query build.
 # ----------------------------------------------------------------------
 @settings(max_examples=80, deadline=None)
-@given(rows=rows_strategy, packed=st.booleans(), tpp=st.integers(1, 17))
-def test_positions_equal_naive_build(rows, packed, tpp):
-    arr = Arrangement(build_table(rows, packed, tpp), "k")
+@given(rows=rows_strategy, tpp=st.integers(1, 17))
+def test_positions_equal_naive_build(rows, tpp):
+    arr = Arrangement(build_table(rows, tpp), "k")
     naive: dict = {}
     for pos, r in enumerate(rows):
         naive.setdefault(r[0], []).append(pos)
     assert arr.positions == naive
     assert arr.unique == all(len(ps) == 1 for ps in naive.values())
-    assert arr.layout == ("packed" if packed and rows else "boxed")
+    assert arr.layout == "packed"
     for k in list(naive) + [-99]:
         assert arr.lookup_positions(k) == naive.get(k, [])
     assert arr.rows == rows
@@ -72,12 +72,11 @@ def test_positions_equal_naive_build(rows, packed, tpp):
 @settings(max_examples=60, deadline=None)
 @given(
     vals=st.lists(st.integers(-5, 5), max_size=80),
-    packed=st.booleans(),
     cutoff=st.integers(-6, 6),
 )
-def test_single_view_equals_fresh_single_match_table(vals, packed, cutoff):
+def test_single_view_equals_fresh_single_match_table(vals, cutoff):
     rows = unique_rows(100, vals)
-    arr = Arrangement(build_table(rows, packed), "k")
+    arr = Arrangement(build_table(rows), "k")
     assert arr.unique
     # Full view == the hoisted single_match_table over a naive build.
     naive = {r[0]: [r] for r in rows}
@@ -93,7 +92,7 @@ def test_single_view_equals_fresh_single_match_table(vals, packed, cutoff):
 @settings(max_examples=40, deadline=None)
 @given(rows=st.lists(st.tuples(st.just(1), st.integers(0, 3), st.just(0)), min_size=2, max_size=20))
 def test_single_view_refuses_non_unique_keys(rows):
-    arr = Arrangement(build_table(rows, packed=False), "k")
+    arr = Arrangement(build_table(rows), "k")
     assert not arr.unique
     try:
         arr.single_view()
@@ -106,7 +105,7 @@ def test_single_view_refuses_non_unique_keys(rows):
 @given(vals=st.lists(st.integers(-5, 5), max_size=60), cutoff=st.integers(-6, 6))
 def test_keys_for_matches_selected_and_memoizes(vals, cutoff):
     rows = unique_rows(0, vals)
-    arr = Arrangement(build_table(rows, packed=False), "k")
+    arr = Arrangement(build_table(rows), "k")
     pred = Cmp(">", "v", cutoff)
     selected = [r for r in rows if r[1] > cutoff]
     keys = arr.keys_for(selected, pred)
@@ -124,13 +123,12 @@ def test_keys_for_matches_selected_and_memoizes(vals, cutoff):
 @settings(max_examples=80, deadline=None)
 @given(
     rows=rows_strategy,
-    packed=st.booleans(),
     lo=st.integers(-2, 16),
     span=st.integers(0, 8),
 )
-def test_range_positions_equal_naive_filter(rows, packed, lo, span):
+def test_range_positions_equal_naive_filter(rows, lo, span):
     hi = lo + span
-    arr = Arrangement(build_table(rows, packed), "k")
+    arr = Arrangement(build_table(rows), "k")
     got = arr.range_positions(lo, hi)
     expected = [pos for pos, r in enumerate(rows) if lo <= r[0] <= hi]
     # Ascending key order; ties in table order (sorted() is stable).
@@ -145,16 +143,14 @@ def test_dictionary_fallback_boundary_probes_exactly():
     on both sides of the boundary."""
     n = DICT_MAX_CARD + 1  # 257: typed-array (array('q')) territory
     rows = unique_rows(1000, list(range(n)))
-    for packed in (False, True):
-        t = build_table(rows, packed, tpp=64)
-        if packed:
-            assert any(is_packed(c) for c in t.columns())
-        arr = Arrangement(t, "k")
-        assert arr.unique and len(arr.positions) == n
-        assert arr.single_view() == {r[0]: r for r in rows}
-        assert arr.range_positions(1000, 1009) == list(range(10))
+    t = build_table(rows, tpp=64)
+    assert any(is_packed(c) for c in t.columns())
+    arr = Arrangement(t, "k")
+    assert arr.unique and len(arr.positions) == n
+    assert arr.single_view() == {r[0]: r for r in rows}
+    assert arr.range_positions(1000, 1009) == list(range(10))
     small = unique_rows(0, list(range(DICT_MAX_CARD - 1)))
-    arr_small = Arrangement(build_table(small, packed=True, tpp=64), "k")
+    arr_small = Arrangement(build_table(small, tpp=64), "k")
     assert arr_small.single_view() == {r[0]: r for r in small}
 
 
@@ -163,7 +159,7 @@ def test_dictionary_fallback_boundary_probes_exactly():
 # ----------------------------------------------------------------------
 def test_acquire_hit_and_refcounts():
     cache = ArrangementCache()
-    t = build_table(unique_rows(0, [1, 2, 3]), packed=False)
+    t = build_table(unique_rows(0, [1, 2, 3]))
     a1 = cache.acquire(t, "k")
     a2 = cache.acquire(t, "k")
     assert a1 is a2 and a1.refcount == 2
@@ -180,7 +176,7 @@ def test_acquire_hit_and_refcounts():
 
 def test_invalidate_drops_entry_but_holders_keep_snapshot():
     cache = ArrangementCache()
-    t = build_table(unique_rows(0, [4, 5, 6]), packed=False)
+    t = build_table(unique_rows(0, [4, 5, 6]))
     held = cache.acquire(t, "k")
     view = held.single_view()
     dropped = cache.invalidate_table("dim")
@@ -197,13 +193,12 @@ def test_invalidate_drops_entry_but_holders_keep_snapshot():
 
 def test_stale_table_identity_evicts_and_rebuilds():
     cache = ArrangementCache()
-    old = build_table(unique_rows(0, [1]), packed=False)
-    new = build_table(unique_rows(0, [1]), packed=True)  # regenerated layout
+    old = build_table(unique_rows(0, [1]))
+    new = build_table(unique_rows(0, [1]))  # regenerated table
     a_old = cache.acquire(old, "k")
     cache.release(a_old)
     a_new = cache.acquire(new, "k")
     assert a_new is not a_old and a_new.table is new
-    assert a_new.layout == "packed" and a_old.layout == "boxed"
     assert cache.evictions == 1 and cache.builds == 2 and cache.hits == 0
 
 
@@ -211,7 +206,7 @@ def test_notify_update_invalidates_arrangements():
     """The storage manager's update hook reaches the process-wide cache
     (and keeps its return-value contract: result-cache drops only)."""
     sim = Simulator(MachineSpec(cores=2, hz=2e9))
-    t = build_table(unique_rows(0, [7, 8]), packed=False)
+    t = build_table(unique_rows(0, [7, 8]))
     storage = StorageManager(
         sim, DEFAULT_COST_MODEL, {"dim": t}, StorageConfig(resident="memory")
     )

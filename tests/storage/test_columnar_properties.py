@@ -1,6 +1,6 @@
 """Property suite for the columnar data plane.
 
-Holds the two invariants the whole columnar-pages fast path rests on, over
+Holds the two invariants the whole columnar data plane rests on, over
 *arbitrary* generated inputs:
 
 * **Round trip** -- a table built from rows exposes exactly the transposed
@@ -12,15 +12,14 @@ Holds the two invariants the whole columnar-pages fast path rests on, over
   columns and when refining a prior selection vector.
 
 Plus the mask helpers (selection vector <-> int bitmap) and the shard
-partitioner's row/columnar layout equivalence, which reduce to the same
-two invariants.
+partitioner's column-wise builds, which reduce to the same two invariants.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query.expr import And, Between, Cmp, InSet, Not, Or
-from repro.shard.partition import partition_table
+from repro.shard.partition import assign_shards, partition_table
 from repro.storage.page import ColumnPage, full_mask, mask_to_sel, sel_to_mask
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -172,7 +171,7 @@ def test_sel_mask_round_trip(data, n):
 
 
 # ----------------------------------------------------------------------
-# Shard partitioning: columnar build == row build
+# Shard partitioning: column-wise build == row constructor
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
 @given(
@@ -182,10 +181,21 @@ def test_sel_mask_round_trip(data, n):
     salt=st.integers(0, 3),
 )
 def test_partition_layouts_hold_identical_rows(rows, n_shards, mode, salt):
+    """Partitions sliced/gathered column-wise equal tables the row
+    constructor builds from each shard's assigned rows."""
     table = Table("fact", SCHEMA, rows, tuples_per_page=7)
-    row_parts = partition_table(table, n_shards, mode, salt, columnar=False)
-    col_parts = partition_table(table, n_shards, mode, salt, columnar=True)
-    assert len(row_parts) == len(col_parts) == n_shards
+    assignment = assign_shards(len(rows), n_shards, mode, salt)
+    row_parts = [
+        Table(
+            "fact",
+            SCHEMA,
+            [r for r, shard in zip(rows, assignment) if shard == k],
+            tuples_per_page=7,
+        )
+        for k in range(n_shards)
+    ]
+    col_parts = partition_table(table, n_shards, mode, salt)
+    assert len(col_parts) == n_shards
     for rp, cp in zip(row_parts, col_parts):
         assert list(cp.iter_rows()) == list(rp.iter_rows())
         assert cp.num_pages == rp.num_pages

@@ -1,7 +1,7 @@
 """Property suite for packed column vectors (:mod:`repro.storage.packed`).
 
-Holds the invariants the ``packed_storage`` fast path rests on, over
-*arbitrary* generated inputs:
+Holds the invariants packed storage rests on, over *arbitrary* generated
+inputs:
 
 * **Round trip** -- ``decode(encode(col)) == col`` element for element,
   with exact types preserved (``1`` / ``1.0`` / ``True`` never alias);
@@ -10,10 +10,10 @@ Holds the invariants the ``packed_storage`` fast path rests on, over
   column kernels (``compile_cols``) and mask kernels (``compile_mask``)
   over *packed* vectors keep exactly the positions row-at-a-time
   evaluation keeps, in the same order.
-* **Partition-layout equality** -- shard partitions of a packed-built
-  table hold row-for-row the same data as partitions of a boxed-built
-  table, for either placement mode and any shard count, and range
-  partitions of typed arrays ship zero bytes (they are views).
+* **Table and partition contents** -- a packed table, and each shard
+  partition of it, holds row for row (types included) exactly the input
+  rows its placement assigns it, for either mode and any shard count,
+  and range partitions of typed arrays ship zero bytes (they are views).
 """
 
 from array import array
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query.expr import And, Between, Cmp, InSet, Not, Or
-from repro.shard.partition import partition_shipping, partition_table
+from repro.shard.partition import assign_shards, partition_shipping, partition_table
 from repro.storage.packed import (
     DICT_MAX_CARD,
     DictColumn,
@@ -218,21 +218,31 @@ def test_mask_kernel_on_packed_equals_row_wise(rows, expr):
 
 
 # ----------------------------------------------------------------------
-# Table integration: packed and boxed builds are indistinguishable.
+# Table integration: packed tables and partitions hold exactly the input.
 # ----------------------------------------------------------------------
+def _chunks(rows, tpp):
+    return [rows[i : i + tpp] for i in range(0, len(rows), tpp)]
+
+
+def _types(rows):
+    return [tuple(map(type, r)) for r in rows]
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=rows_strategy, tpp=st.integers(1, 17))
 def test_packed_table_round_trips_rows_and_columns(rows, tpp):
-    packed_t = Table("t", SCHEMA, rows, tuples_per_page=tpp, packed=True)
-    boxed_t = Table("t", SCHEMA, rows, tuples_per_page=tpp, packed=False)
-    assert list(packed_t.iter_rows()) == rows == list(boxed_t.iter_rows())
-    assert packed_t.num_pages == boxed_t.num_pages
-    for pp, bp in zip(packed_t.pages, boxed_t.pages):
-        assert list(pp.rows) == list(bp.rows)
-        assert tuple(map(list, pp.columns)) == tuple(map(list, bp.columns))
-        assert pp.real_bytes == bp.real_bytes and pp.weight == bp.weight
+    table = Table("t", SCHEMA, rows, tuples_per_page=tpp)
+    assert list(table.iter_rows()) == rows
+    assert _types(table.iter_rows()) == _types(rows)
+    chunks = _chunks(rows, tpp)
+    assert table.num_pages == len(chunks)
+    for page, chunk in zip(table.pages, chunks):
+        assert list(page.rows) == chunk
+        assert tuple(map(list, page.columns)) == tuple(map(list, zip(*chunk)))
+        assert page.real_bytes == len(chunk) * 1.0 * SCHEMA.row_bytes
+        assert page.weight == 1.0
     if rows:
-        assert all(is_packed(c) for c in packed_t.columns())
+        assert all(is_packed(c) for c in table.columns())
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,19 +253,24 @@ def test_packed_table_round_trips_rows_and_columns(rows, tpp):
     salt=st.integers(0, 3),
 )
 def test_partition_layouts_equal_packed_vs_boxed(rows, n_shards, mode, salt):
-    packed_t = Table("fact", SCHEMA, rows, tuples_per_page=7, packed=True)
-    boxed_t = Table("fact", SCHEMA, rows, tuples_per_page=7, packed=False)
-    packed_parts = partition_table(packed_t, n_shards, mode, salt, columnar=True)
-    boxed_parts = partition_table(boxed_t, n_shards, mode, salt, columnar=True)
-    row_parts = partition_table(boxed_t, n_shards, mode, salt, columnar=False)
-    assert len(packed_parts) == len(boxed_parts) == n_shards
-    for pp, bp, rp in zip(packed_parts, boxed_parts, row_parts):
-        assert list(pp.iter_rows()) == list(bp.iter_rows()) == list(rp.iter_rows())
-        assert pp.num_pages == bp.num_pages == rp.num_pages
-        assert pp.real_bytes == bp.real_bytes == rp.real_bytes
+    """Packed shard partitions hold exactly the boxed input rows their
+    placement assigns them, with the row constructor's page structure."""
+    table = Table("fact", SCHEMA, rows, tuples_per_page=7)
+    parts = partition_table(table, n_shards, mode, salt)
+    assignment = assign_shards(len(rows), n_shards, mode, salt)
+    assert len(parts) == n_shards
+    for k, part in enumerate(parts):
+        expected = [r for r, shard in zip(rows, assignment) if shard == k]
+        assert list(part.iter_rows()) == expected
+        assert _types(part.iter_rows()) == _types(expected)
+        chunks = _chunks(expected, 7)
+        assert part.num_pages == len(chunks)
+        assert [p.real_bytes for p in part.pages] == [
+            len(c) * 1.0 * SCHEMA.row_bytes for c in chunks
+        ]
         # Shards of a packed parent inherit packed layouts.
-        if pp.num_rows:
-            assert all(is_packed(c) for c in pp.columns())
+        if part.num_rows:
+            assert all(is_packed(c) for c in part.columns())
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,11 +281,11 @@ def test_range_partitions_of_typed_arrays_ship_zero_bytes(base, n, n_shards):
     hash gathers ship the full gathered buffers."""
     schema = Schema([Column("k")], row_bytes=8)
     col = [base + j for j in range(n)]  # card > 256 -> array('q')
-    table = Table.from_columns("fact", schema, (col,), packed=True)
+    table = Table.from_columns("fact", schema, (col,))
     assert type(table.columns()[0]) is PackedNumeric
-    for shard in partition_table(table, n_shards, "range", 0, columnar=True):
+    for shard in partition_table(table, n_shards, "range", 0):
         assert partition_shipping(shard)["shipped_bytes"] == 0
-    hashed = partition_table(table, n_shards, "hash", 0, columnar=True)
+    hashed = partition_table(table, n_shards, "hash", 0)
     assert sum(partition_shipping(s)["shipped_bytes"] for s in hashed) == 8 * n
 
 
