@@ -154,14 +154,14 @@ def bench_end_to_end(ds, engine_name: str, mpl: int, seed: int, reps: int) -> di
     def run():
         return run_batch(ds.tables, config, workload, storage)
 
-    with fast_path(batch_kernels=True, fuse_charges=True, arrangements=False):
+    with fast_path(arrangements=False):
         private_s, private = _timed(run, reps)
 
     def run_shared():
         ARRANGEMENTS.clear()
         return run()
 
-    with fast_path(batch_kernels=True, fuse_charges=True, arrangements=True):
+    with fast_path(arrangements=True):
         shared_s, shared = _timed(run_shared, reps)
     stats = ARRANGEMENTS.stats()
     if _fingerprint(private) != _fingerprint(shared):

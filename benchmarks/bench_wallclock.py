@@ -1,12 +1,16 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark of the harness itself: row-at-a-time vs vectorized.
+"""Wall-clock benchmark of the harness itself: host-side A/B rows.
 
-Times fixed seeded workloads twice -- once with the fast path disabled
-(per-row closures, one simulator event per CPU charge) and once enabled
-(batch kernels + fused charges) -- and writes the before/after numbers to
-``BENCH_wallclock.json`` at the repo root.  Simulated results are
-bit-identical either way (tests/engine/test_golden_determinism.py); this
-benchmark measures only how fast the *host* machine gets them.
+Times fixed seeded workloads twice -- once per side of a switch that only
+changes host-side work -- and writes the before/after numbers to
+``BENCH_wallclock.json`` at the repo root.  Two rows remain:
+
+* the CJOIN filter chain, per-row probe loop vs columnar kernels
+  (``gqp_filter_kernels``);
+* shared join arrangements off vs on.
+
+Simulated results are asserted identical between the two sides of each
+row; this benchmark measures only how fast the *host* machine gets them.
 
 Usage::
 
@@ -14,7 +18,7 @@ Usage::
     python benchmarks/bench_wallclock.py --fast   # CI smoke (small sweeps)
 
 Exits non-zero only on crash or on a simulated-results mismatch between the
-two modes; the speedup threshold is warn-only (host machines vary)."""
+two sides; the speedup threshold is warn-only (host machines vary)."""
 
 from __future__ import annotations
 
@@ -31,23 +35,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import dataclasses
 
-from repro.bench.experiments import fig10_concurrency, fig13_scale_factor
 from repro.bench.runner import POSTGRES, run_batch
-from repro.bench.workload import QueryJob, gqp_skewed_workload, q32_random_workload
+from repro.bench.workload import gqp_skewed_workload, q32_random_workload
 from repro.data import generate_ssb
-from repro.data.rng import make_rng
-from repro.engine.config import (
-    CJOIN,
-    CJOIN_SP,
-    QPIPE_SP,
-    arrangements_default,
-    columnar_pages_default,
-    fast_path,
-    packed_storage_default,
-)
-from repro.query.ssb_queries import random_q11
+from repro.engine.config import CJOIN, CJOIN_SP, QPIPE_SP, arrangements_default, fast_path
 from repro.storage.manager import StorageConfig
-from repro.storage.packed import column_nbytes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT_PATH = ROOT / "BENCH_wallclock.json"
@@ -96,7 +88,7 @@ def _spread(times: list[float]) -> dict:
 
 
 def _engine_fingerprint(result) -> dict:
-    """Simulated measurements that must not depend on the fast path."""
+    """Simulated measurements that must not depend on a host-side switch."""
     return {
         "sim_seconds": result.sim_seconds,
         "response_times": result.response_times,
@@ -104,46 +96,10 @@ def _engine_fingerprint(result) -> dict:
     }
 
 
-def bench_engines(n: int, sf: float, seed: int, reps: int = 1) -> dict:
-    """One batch of ``n`` random Q3.2 instances per engine, both modes."""
-    ds = generate_ssb(sf, seed)
-    workload = q32_random_workload(n, seed)
-    storage = StorageConfig(resident="memory")
-    out = {}
-    # The enabled mode keeps the process-wide columnar default, so a
-    # ``REPRO_COLUMNAR=0`` run times the row-plane fallback (the CI
-    # row-plane smoke leg) instead of silently re-enabling columnar.
-    columnar = columnar_pages_default()
-    for name, config in ENGINES.items():
-        with fast_path(batch_kernels=False, fuse_charges=False):
-            before_s, before, before_reps = _timed(
-                lambda: run_batch(ds.tables, config, workload, storage), reps
-            )
-        with fast_path(batch_kernels=True, fuse_charges=True, columnar_pages=columnar):
-            after_s, after, after_reps = _timed(
-                lambda: run_batch(ds.tables, config, workload, storage), reps
-            )
-        if _engine_fingerprint(before) != _engine_fingerprint(after):
-            raise SystemExit(
-                f"SIMULATED RESULTS DIVERGED for {name}: the fast path "
-                "changed ticks or charges -- this is a bug, not a perf issue"
-            )
-        out[name] = {
-            "n_queries": n,
-            "before_s": round(before_s, 3),
-            "after_s": round(after_s, 3),
-            "speedup": round(before_s / after_s, 2) if after_s else None,
-            "before": _spread(before_reps),
-            "after": _spread(after_reps),
-        }
-    return out
-
-
 def bench_cjoin_chain(n: int, sf: float, seed: int, reps: int = 1) -> dict:
     """The CJOIN filter-chain row: per-row probe loop vs columnar kernels.
 
-    Both runs keep the default fast path; the only difference is
-    ``gqp_filter_kernels``.  Every query in the workload references every
+    The only difference between the runs is ``gqp_filter_kernels``.  Every query in the workload references every
     dimension, so no filter is ever skipped and the simulated results must
     be identical -- this row isolates the host-side cost of the chain's
     probe loop itself."""
@@ -176,50 +132,10 @@ def bench_cjoin_chain(n: int, sf: float, seed: int, reps: int = 1) -> dict:
     }
 
 
-def bench_columnar_pages(n: int, sf: float, seed: int, reps: int = 1) -> dict:
-    """The columnar-pages row: the full four-engine batch with the
-    late-materialized data plane off vs on (batch kernels and fused
-    charges stay on in both runs, so the row isolates the columnar
-    plane's host-side contribution).  Simulated results are asserted
-    identical per engine -- charges are computed from row counts, which
-    the columnar plane preserves exactly."""
-    ds = generate_ssb(sf, seed)
-    workload = q32_random_workload(n, seed)
-    storage = StorageConfig(resident="memory")
-
-    def run_all():
-        return {
-            name: run_batch(ds.tables, config, workload, storage)
-            for name, config in ENGINES.items()
-        }
-
-    with fast_path(batch_kernels=True, fuse_charges=True, columnar_pages=False):
-        before_s, before, before_reps = _timed(run_all, reps)
-    with fast_path(batch_kernels=True, fuse_charges=True, columnar_pages=True):
-        after_s, after, after_reps = _timed(run_all, reps)
-    for name in ENGINES:
-        if _engine_fingerprint(before[name]) != _engine_fingerprint(after[name]):
-            raise SystemExit(
-                f"SIMULATED RESULTS DIVERGED for {name}: the columnar plane "
-                "changed ticks or charges -- this is a bug, not a perf issue"
-            )
-    return {
-        "Columnar pages (all engines, off vs on)": {
-            "n_queries": n,
-            "before_s": round(before_s, 3),
-            "after_s": round(after_s, 3),
-            "speedup": round(before_s / after_s, 2) if after_s else None,
-            "before": _spread(before_reps),
-            "after": _spread(after_reps),
-        }
-    }
-
-
 def bench_arrangements_row(n: int, sf: float, seed: int, reps: int = 1) -> dict:
     """The shared-arrangements row: the full four-engine batch with
-    refcounted build-side sharing off vs on (batch kernels, fused charges
-    and the columnar default stay fixed in both runs, so the row isolates
-    the arrangement layer's host-side contribution).  Simulated results
+    refcounted build-side sharing off vs on (the row isolates the
+    arrangement layer's host-side contribution).  Simulated results
     are asserted identical per engine -- every build-input read and
     hashing charge is still paid per query; only the Python index is
     shared (tests/engine/test_golden_determinism.py holds the same)."""
@@ -228,7 +144,6 @@ def bench_arrangements_row(n: int, sf: float, seed: int, reps: int = 1) -> dict:
     ds = generate_ssb(sf, seed)
     workload = q32_random_workload(n, seed)
     storage = StorageConfig(resident="memory")
-    columnar = columnar_pages_default()
 
     def run_all():
         return {
@@ -236,16 +151,10 @@ def bench_arrangements_row(n: int, sf: float, seed: int, reps: int = 1) -> dict:
             for name, config in ENGINES.items()
         }
 
-    with fast_path(
-        batch_kernels=True, fuse_charges=True,
-        columnar_pages=columnar, arrangements=False,
-    ):
+    with fast_path(arrangements=False):
         before_s, before, before_reps = _timed(run_all, reps)
     stats0 = ARRANGEMENTS.stats()
-    with fast_path(
-        batch_kernels=True, fuse_charges=True,
-        columnar_pages=columnar, arrangements=True,
-    ):
+    with fast_path(arrangements=True):
         after_s, after, after_reps = _timed(run_all, reps)
     stats1 = ARRANGEMENTS.stats()
     for name in ENGINES:
@@ -270,132 +179,6 @@ def bench_arrangements_row(n: int, sf: float, seed: int, reps: int = 1) -> dict:
     }
 
 
-def _fact_bytes_resident(ds) -> int:
-    """Resident bytes of the fact table's live column vectors (whatever
-    layout the current flags built)."""
-    fact = ds.tables["lineorder"]
-    return sum(
-        column_nbytes(col, cd.kind)
-        for col, cd in zip(fact.columns(), fact.schema.columns)
-    )
-
-
-def bench_packed_storage(n: int, sf: float, seed: int, reps: int = 1) -> dict:
-    """The packed-storage rows: one row per engine, packed vectors off vs
-    on (columnar plane, batch kernels and fused charges stay on in both
-    runs, so each row isolates the packed layer's host-side contribution
-    on a scan/filter-dominated workload).
-
-    The workload is ``n`` random SSB Q1.1 instances: a single-dimension
-    join plus a two-term fact predicate on ``lo_discount`` (11 distinct
-    values) and ``lo_quantity`` (50) -- both dictionary-encoded, so the
-    packed run selects through memoized per-page predicate bitmaps ANDed
-    as single ints, while the boxed run filters boxed lists.  The dataset
-    is regenerated inside each mode: layout is baked in at table build
-    time (the memo is keyed by the effective flag).  Each row also
-    carries the fact table's resident column bytes per mode -- the memory
-    win ships with the speed win in one artifact."""
-    storage = StorageConfig(resident="memory")
-
-    def q11_workload():
-        rng = make_rng(seed, "bench-q11")
-        return [QueryJob(spec=random_q11(rng)) for _ in range(n)]
-
-    out = {}
-    for name, config in ENGINES.items():
-        with fast_path(
-            batch_kernels=True, fuse_charges=True,
-            columnar_pages=True, packed_storage=False,
-        ):
-            ds = generate_ssb(sf, seed)
-            boxed_bytes = _fact_bytes_resident(ds)
-            workload = q11_workload()
-            before_s, before, before_reps = _timed(
-                lambda: run_batch(ds.tables, config, workload, storage), reps
-            )
-        with fast_path(
-            batch_kernels=True, fuse_charges=True,
-            columnar_pages=True, packed_storage=True,
-        ):
-            ds = generate_ssb(sf, seed)
-            packed_bytes = _fact_bytes_resident(ds)
-            workload = q11_workload()
-            after_s, after, after_reps = _timed(
-                lambda: run_batch(ds.tables, config, workload, storage), reps
-            )
-        if _engine_fingerprint(before) != _engine_fingerprint(after):
-            raise SystemExit(
-                f"SIMULATED RESULTS DIVERGED for {name}: packed storage "
-                "changed ticks or charges -- this is a bug, not a perf issue"
-            )
-        out[f"Packed storage ({name}, off vs on)"] = {
-            "n_queries": n,
-            "before_s": round(before_s, 3),
-            "after_s": round(after_s, 3),
-            "speedup": round(before_s / after_s, 2) if after_s else None,
-            "before": _spread(before_reps),
-            "after": _spread(after_reps),
-            "bytes_resident": {
-                "boxed": boxed_bytes,
-                "packed": packed_bytes,
-                "packed_vs_boxed": (
-                    round(packed_bytes / boxed_bytes, 3) if boxed_bytes else None
-                ),
-            },
-        }
-    return out
-
-
-def memory_report(sf: float, seed: int) -> dict:
-    """Resident bytes of the fact table's layouts: the row-tuple forest,
-    the packed column vectors (dictionary codes + typed arrays), and what
-    the same columns cost as boxed lists -- the data-plane footprint the
-    packed layer trades against.  Informational: never part of any
-    simulated metric."""
-    from repro.storage.packed import as_list
-
-    ds = generate_ssb(sf, seed)
-    fact = ds.tables["lineorder"]
-    footprint = fact.memory_footprint()
-    rows_b, cols_b = footprint["rows_bytes"], footprint["columns_bytes"]
-    boxed_b = sum(
-        column_nbytes(list(as_list(col)), cd.kind)
-        for col, cd in zip(fact.columns(), fact.schema.columns)
-    )
-    return {
-        "fact_table": fact.name,
-        "sf": sf,
-        "rows": fact.num_rows,
-        "rows_bytes": rows_b,
-        "columns_bytes": cols_b,
-        "boxed_columns_bytes": boxed_b,
-        "columns_vs_rows": round(cols_b / rows_b, 3) if rows_b else None,
-        "packed_vs_boxed": round(cols_b / boxed_b, 3) if boxed_b else None,
-        "column_layouts": footprint["column_layouts"],
-    }
-
-
-def bench_experiment(name: str, fn, reps: int = 1) -> dict:
-    """One full paper experiment (its default settings), both modes.
-
-    ``fn`` already has the fabric ``jobs`` count baked in (see ``main``);
-    both modes use the same count, so the before/after speedup still
-    isolates the fast path."""
-    with fast_path(batch_kernels=False, fuse_charges=False):
-        before_s, _, before_reps = _timed(fn, reps)
-    with fast_path(
-        batch_kernels=True, fuse_charges=True, columnar_pages=columnar_pages_default()
-    ):
-        after_s, _, after_reps = _timed(fn, reps)
-    return {
-        "before_s": round(before_s, 1),
-        "after_s": round(after_s, 1),
-        "speedup": round(before_s / after_s, 2) if after_s else None,
-        "before": _spread(before_reps),
-        "after": _spread(after_reps),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--fast", action="store_true",
@@ -405,81 +188,31 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=None,
                         help="repetitions per timing (best-of-N; default 2, "
                              "1 with --fast)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="fabric worker processes for the experiment "
-                             "sweeps (default: REPRO_JOBS or 1)")
     args = parser.parse_args(argv)
     reps = args.reps if args.reps is not None else (1 if args.fast else 2)
 
-    from repro.parallel import resolve_jobs
-
-    jobs = resolve_jobs(args.jobs)
     report: dict = {
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "mode": "fast" if args.fast else "default",
             "cpus": os.cpu_count(),
-            "jobs": jobs,
-            "columnar_default": columnar_pages_default(),
-            "packed_default": packed_storage_default(),
+            "reps": reps,
             "arrangements_default": arrangements_default(),
         },
-        "engines": {},
-        "experiments": {},
     }
-
-    report["host"]["reps"] = reps
-    if args.fast:
-        report["engines"] = bench_engines(n=16, sf=0.5, seed=42, reps=reps)
-        report["engines"].update(bench_cjoin_chain(n=16, sf=0.5, seed=42, reps=reps))
-        report["engines"].update(bench_columnar_pages(n=16, sf=0.5, seed=42, reps=reps))
-        report["engines"].update(bench_packed_storage(n=16, sf=0.5, seed=42, reps=reps))
-        report["engines"].update(bench_arrangements_row(n=16, sf=0.5, seed=42, reps=reps))
-        report["memory"] = memory_report(sf=0.5, seed=42)
-        report["experiments"]["fig10_concurrency"] = bench_experiment(
-            "fig10", lambda: fig10_concurrency(
-                concurrency=(1, 8), sf=0.5, resident=("memory",), jobs=jobs),
-            reps,
-        )
-        report["experiments"]["fig13_scale_factor"] = bench_experiment(
-            "fig13", lambda: fig13_scale_factor(
-                scale_factors=(0.5,), n_queries=4, jobs=jobs),
-            reps,
-        )
-    else:
-        report["engines"] = bench_engines(n=64, sf=1.0, seed=42, reps=reps)
-        report["engines"].update(bench_cjoin_chain(n=64, sf=1.0, seed=42, reps=reps))
-        report["engines"].update(bench_columnar_pages(n=64, sf=1.0, seed=42, reps=reps))
-        report["engines"].update(bench_packed_storage(n=64, sf=1.0, seed=42, reps=reps))
-        report["engines"].update(bench_arrangements_row(n=64, sf=1.0, seed=42, reps=reps))
-        report["memory"] = memory_report(sf=1.0, seed=42)
-        report["experiments"]["fig10_concurrency"] = bench_experiment(
-            "fig10", lambda: fig10_concurrency(jobs=jobs), reps
-        )
-        report["experiments"]["fig13_scale_factor"] = bench_experiment(
-            "fig13", lambda: fig13_scale_factor(jobs=jobs), reps
-        )
+    n, sf = (16, 0.5) if args.fast else (64, 1.0)
+    report["engines"] = bench_cjoin_chain(n=n, sf=sf, seed=42, reps=reps)
+    report["engines"].update(bench_arrangements_row(n=n, sf=sf, seed=42, reps=reps))
 
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
     print(f"wrote {args.out}")
-    width = max(len(k) for k in {**report["engines"], **report["experiments"]})
-    for section in ("engines", "experiments"):
-        for name, cell in report[section].items():
-            print(f"  {name:<{width}}  before {cell['before_s']:>8}s"
-                  f"  after {cell['after_s']:>8}s  speedup {cell['speedup']}x"
-                  f"  (median after {cell['after']['median_s']}s)")
-    slow = [
-        name
-        for section in ("engines", "experiments")
-        for name, cell in report[section].items()
-        if (cell["speedup"] or 0) < 2.0
-    ]
-    if slow:
-        # Warn-only: host load varies, and the determinism tests are the
-        # real gate.  CI fails only on crash or simulated-result divergence.
-        print(f"WARNING: speedup below 2x for: {', '.join(slow)}", file=sys.stderr)
+    width = max(len(k) for k in report["engines"])
+    for name, cell in report["engines"].items():
+        print(f"  {name:<{width}}  before {cell['before_s']:>8}s"
+              f"  after {cell['after_s']:>8}s  speedup {cell['speedup']}x"
+              f"  (median after {cell['after']['median_s']}s)")
     return 0
 
 

@@ -144,9 +144,9 @@ class FifoExchange:
 
         The producer thread pays the FIFO bookkeeping for its own output and
         a full copy per satellite -- the push-based serialization point.
-        ``lead`` is an extra CPU charge fused in front of the
-        bookkeeping charge -- legal because nothing observable happens
-        between those yields."""
+        ``lead`` is an extra CPU charge fused in front of the bookkeeping
+        charge -- legal because nothing observable happens between those
+        yields."""
         self.pages_emitted += 1
         overhead = self._overhead_charge
         if lead is not None and overhead.cycles > 0:

@@ -78,7 +78,7 @@ class SplConsumer:
         return self.spl.read(self)
 
     def defer_read_charge(self):
-        """Opt this consumer into *deferred* per-page read charges.
+        """Opt this consumer into *deferred* per-page read charges:
         ``read`` then returns each page without yielding its
         ``spl_read_page`` charge; the caller must fuse the returned command
         in front of the very next CPU charge it yields after every
@@ -93,12 +93,11 @@ class SplConsumer:
         return None
 
     def prepay_lock_charge(self):
-        """The lock charge of this consumer's *next* ``read``
-        may be fused as the last part of the command the caller yields
-        right before that read -- ``take_or_enqueue`` still runs at the
-        charge's completion instant, and only pure computation separates
-        the two.  Returns the lock charge to fuse, or None when
-        unavailable.  The caller must set ``lock_prepaid`` each time it
+        """The lock charge of this consumer's *next* ``read`` may be fused
+        as the last part of the command the caller yields right before that
+        read -- ``take_or_enqueue`` still runs at the charge's completion
+        instant, and only pure computation separates the two.  Returns the
+        lock charge to fuse, or None when unavailable.  The caller must set ``lock_prepaid`` each time it
         actually fuses the charge, and must keep reading until END (the
         END-returning read consumes the final prepaid charge, exactly as
         a plain read would have paid it)."""

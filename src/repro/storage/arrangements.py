@@ -16,7 +16,7 @@ Every consumer keeps yielding the exact charges of a private build --
 build-input page reads, hashing/insert cycles, admission scans -- and
 only the *host-side Python data structure* is reused.  The golden suite
 (``tests/engine/test_golden_determinism.py``) holds simulated metrics to
-bit-identical with the ``arrangements`` fast-path flag on vs off.
+bit-identical with the ``arrangements`` flag on vs off.
 
 Contents of one arrangement:
 
@@ -70,18 +70,6 @@ def single_match_table(table: dict[Any, list[tuple]]) -> dict[Any, tuple] | None
     return {k: ms[0] for k, ms in table.items()}
 
 
-def _layout_tag(table: "Table") -> str:
-    """'packed' when the table was built with packed column vectors,
-    'boxed' otherwise -- layout is baked in at table build time, so the
-    tag is a property of the table object, not of the current flags."""
-    from repro.storage.packed import is_packed
-
-    cols = getattr(table, "_cols", None)
-    if cols and any(is_packed(c) for c in cols):
-        return "packed"
-    return "boxed"
-
-
 class Arrangement:
     """One shared build-side index over ``table`` keyed by ``key_column``."""
 
@@ -89,7 +77,6 @@ class Arrangement:
         "table",
         "key_column",
         "key_idx",
-        "layout",
         "rows",
         "positions",
         "unique",
@@ -107,7 +94,6 @@ class Arrangement:
         self.table = table
         self.key_column = key_column
         self.key_idx = table.schema.index(key_column)
-        self.layout = _layout_tag(table)
         # Dimension tables are small (thousands of generated rows); the
         # arrangement materializes their rows once so every shared view is
         # a dict over already-boxed tuples.
@@ -142,7 +128,7 @@ class Arrangement:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Arrangement {self.table.name}.{self.key_column} [{self.layout}]"
+            f"<Arrangement {self.table.name}.{self.key_column}"
             f" keys={len(self.positions)} unique={self.unique} rc={self.refcount}>"
         )
 
@@ -319,10 +305,8 @@ class ArrangementCache:
     """Process-wide refcounted cache of :class:`Arrangement` objects.
 
     Keyed by ``(table name, key column)`` with *object identity*
-    verification: datasets regenerated under different storage flags
-    produce new ``Table`` objects under old names, and a stale entry is
-    then evicted and rebuilt (the layout tag rides on the table object,
-    so identity subsumes layout).  Single-threaded by design, like every
+    verification: regenerated datasets produce new ``Table`` objects under
+    old names, and a stale entry is then evicted and rebuilt.  Single-threaded by design, like every
     other host-side structure here: engine "threads" are simulated
     generators, and each shard worker process owns its own (fork-COW
     initialized) cache."""

@@ -63,7 +63,6 @@ def test_positions_equal_naive_build(rows, tpp):
         naive.setdefault(r[0], []).append(pos)
     assert arr.positions == naive
     assert arr.unique == all(len(ps) == 1 for ps in naive.values())
-    assert arr.layout == "packed"
     for k in list(naive) + [-99]:
         assert arr.lookup_positions(k) == naive.get(k, [])
     assert arr.rows == rows
