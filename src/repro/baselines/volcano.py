@@ -108,9 +108,9 @@ class VolcanoEngine:
 
     def _eval(self, node: PlanNode) -> Iterator[Any]:
         """Evaluate bottom-up; a relation is a :class:`ColumnBatch` over the
-        table's column vectors until an operator materializes row tuples
-        (a predicate without a column kernel, an aggregate's output), then
-        a list of rows.  Charges count rows, never representation.
+        table's column vectors up to the aggregate, whose output (and the
+        sort above it) is a list of rows.  Charges count rows, never
+        representation.
 
         The tree walk is an explicit stack machine rather than recursive
         ``yield from``: every simulator resume re-enters exactly one
@@ -199,14 +199,12 @@ class VolcanoEngine:
                     continue
                 rel, w = result
                 yield cost.predicate(len(rel), w, max(nd.predicate.terms, 1))
-                if isinstance(rel, ColumnBatch):
-                    ck = nd.predicate.compile_cols(nd.child.schema)
-                    if ck is not None:
-                        result = rel.take(ck(rel.column, len(rel))), w
-                        continue
-                    rel = rel.rows
-                kernel = nd.predicate.compile_batch(nd.child.schema)
-                result = kernel(rel), w
+                ck = nd.predicate.compile_cols(nd.child.schema)
+                if ck is not None:
+                    keep = ck(rel.column, len(rel))
+                else:  # no column form: the row kernel's passing positions
+                    keep = nd.predicate.compile_batch(nd.child.schema, indices=True)(rel.rows)
+                result = rel.take(keep), w
             elif isinstance(nd, HashJoinNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
@@ -214,14 +212,9 @@ class VolcanoEngine:
                     continue
                 if phase == 1:
                     build_rel, bw = result
-                    # Build rows materialize either way: they become the
-                    # probe output's tail payloads (dims are small
-                    # post-filter).
-                    build_rows = (
-                        build_rel.rows
-                        if isinstance(build_rel, ColumnBatch)
-                        else build_rel
-                    )
+                    # Build rows materialize: they become the probe
+                    # output's tail payloads (dims are small post-filter).
+                    build_rows = build_rel.rows
                     # Star dimensions are keyed by primary key, so the
                     # common case is one row per key: build the flat
                     # single-match dict directly (C-level dict(zip)) and
@@ -248,26 +241,15 @@ class VolcanoEngine:
                 probe_rel, w = result
                 pkey = nd.probe.schema.index(nd.probe_key)
                 n = len(probe_rel)
-                if isinstance(probe_rel, ColumnBatch):
-                    if single is None and table is None:
-                        table = {}  # empty build side: nothing matches
-                    out: Any = probe_columnar(
-                        probe_rel,
-                        pkey,
-                        table.get if table is not None else None,
-                        w,
-                        single,
-                    )
-                elif single is not None:
-                    sget = single.get
-                    out = [
-                        r + m for r in probe_rel if (m := sget(r[pkey])) is not None
-                    ]
-                elif table is not None:
-                    get = table.get
-                    out = [r + m for r in probe_rel for m in get(r[pkey], ())]
-                else:
-                    out = []
+                if single is None and table is None:
+                    table = {}  # empty build side: nothing matches
+                out = probe_columnar(
+                    probe_rel,
+                    pkey,
+                    table.get if table is not None else None,
+                    w,
+                    single,
+                )
                 nout = len(out)
                 cmds = []
                 if n:
@@ -291,26 +273,21 @@ class VolcanoEngine:
                         cost.aggregate(n, w, functions=len(nd.aggregates)),
                     )
                 schema = nd.child.schema
-                if isinstance(rel, ColumnBatch):
-                    # Late-materialized accumulation; same fold order as the
-                    # reference row loop, so every float is bit-identical.
-                    specs = nd.aggregates
-                    fns = [
-                        a.expr.compile(schema) if a.expr is not None else None
-                        for a in specs
-                    ]
-                    group_idx = tuple(schema.index(g) for g in nd.group_by)
-                    groups: dict = {}
-                    accumulate_columnar(rel, n, w, group_idx, specs, fns, schema, groups)
-                    out = [
-                        key + tuple(_finalize(specs[i], acc, i) for i in range(len(specs)))
-                        for key, acc in groups.items()
-                    ]
-                    result = out, 1.0
-                else:
-                    from repro.baselines.reference import _aggregate
-
-                    result = _aggregate(nd, rel, w, schema), 1.0
+                # Late-materialized accumulation; same fold order as the
+                # reference row loop, so every float is bit-identical.
+                specs = nd.aggregates
+                fns = [
+                    a.expr.compile(schema) if a.expr is not None else None
+                    for a in specs
+                ]
+                group_idx = tuple(schema.index(g) for g in nd.group_by)
+                groups: dict = {}
+                accumulate_columnar(rel, n, w, group_idx, specs, fns, schema, groups)
+                out = [
+                    key + tuple(_finalize(specs[i], acc, i) for i in range(len(specs)))
+                    for key, acc in groups.items()
+                ]
+                result = out, 1.0
             elif isinstance(nd, SortNode):
                 if phase == 0:
                     stack.append((nd, 1, None))

@@ -25,7 +25,7 @@ from repro.storage.arrangements import (  # noqa: F401  (re-export: baselines im
     single_match_table,
 )
 from repro.storage.packed import as_list
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import ColumnBatch
 
 
 def probe_columnar(
@@ -185,7 +185,6 @@ class HashJoinStage(Stage):
                 single = shared[0].offer_single_view(shared[1], collect or [])
         else:
             single = single_match_table(table)
-        empty: tuple = ()
         while True:
             batch, fc = yield from probe_input.read_fused()
             if batch is END:
@@ -195,25 +194,11 @@ class HashJoinStage(Stage):
                 if fc is not None:
                     yield probe_input.fuse_next_lock(fc)
                 continue
-            if isinstance(batch, ColumnBatch):
-                out = probe_columnar(batch, probe_key, get, w, single)
-            elif single is not None:
-                # Row-plane single-match fast path (one dict lookup per
-                # probe row; same rows in the same order as the general
-                # loop, since every key has at most one match).
-                sget = single.get
-                out = Batch(
-                    [
-                        r + m
-                        for r in batch.rows
-                        if (m := sget(r[probe_key])) is not None
-                    ],
-                    w,
-                )
-            else:
-                out = Batch(
-                    [r + m for r in batch.rows for m in get(r[probe_key], empty)], w
-                )
+            if type(batch) is not ColumnBatch:
+                # A folded or cache-replayed child join emits row
+                # batches: view them column-wise.
+                batch = ColumnBatch(tuple(zip(*batch.rows)), None, w)
+            out = probe_columnar(batch, probe_key, get, w, single)
             nout = len(out)
             cmds = [cost.hashing(n, w, equals=nout), cost.probe(n, w)]
             if nout:

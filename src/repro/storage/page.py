@@ -3,11 +3,10 @@
 A :class:`ColumnPage` (exported as :data:`Page`) is a fixed slice of a
 table's rows -- the unit of buffer-pool residency and disk I/O.  It keeps
 **both** layouts lazily: a tuple of row tuples and a tuple of per-column
-vectors, each derived from the other on first access and cached.  Tables
-loaded from rows pay nothing until a columnar consumer asks for
-:attr:`ColumnPage.columns`; tables built column-wise (zero-copy shard
-partitions, see :func:`repro.shard.partition.partition_table`) never
-materialize row tuples unless a row consumer forces them.
+vectors, each derived from the other on first access and cached.  Table
+pages are built from (packed) column slices, see
+:mod:`repro.storage.table`, and never materialize row tuples unless a row
+consumer forces them.
 
 Batches are the unit of data flow between operators (through FIFO
 buffers and Shared Pages Lists); scan stages turn pages into batches,

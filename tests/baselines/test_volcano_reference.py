@@ -1,11 +1,13 @@
 """Tests for the reference evaluator and the Volcano baseline."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import VolcanoEngine, evaluate_plan
 from repro.baselines.volcano import mature_cost_model
 from repro.data import generate_ssb, generate_tpch
-from repro.query.expr import Cmp, Col
+from repro.query.expr import Cmp, Col, Or
 from repro.query.plan import AggregateNode, AggSpec, HashJoinNode, ScanNode, SelectNode, SortNode
 from repro.query.ssb_queries import q21, q32
 from repro.query.tpch_queries import tpch_q1_plan
@@ -87,7 +89,17 @@ class TestReferenceEvaluator:
 
 class TestVolcano:
     def test_matches_oracle_on_templates(self, ssb):
-        for spec in (q32("CHINA", "FRANCE", 1993, 1996), q21("MFGR#12", "AMERICA")):
+        # A disjunctive fact predicate has no column kernel: the scan's
+        # selection runs through the row kernel's passing positions.
+        disjunctive = dataclasses.replace(
+            q32("CHINA", "FRANCE", 1993, 1996),
+            fact_predicate=Or(Cmp("<", "lo_quantity", 10), Cmp(">", "lo_quantity", 40)),
+        )
+        for spec in (
+            q32("CHINA", "FRANCE", 1993, 1996),
+            q21("MFGR#12", "AMERICA"),
+            disjunctive,
+        ):
             sim = Simulator(MachineSpec())
             storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig())
             pg = VolcanoEngine(sim, storage)

@@ -13,6 +13,8 @@ import pytest
 from repro.baselines import VolcanoEngine, evaluate_plan
 from repro.data import generate_ssb, generate_tpch
 from repro.engine import CJOIN, CJOIN_SP, QPIPE, QPIPE_CS, QPIPE_SP, QPipeEngine
+from repro.engine.config import fast_path
+from repro.query.expr import Cmp
 from repro.query.ssb_queries import q11, q21, q32, random_q32
 from repro.query.tpch_queries import tpch_q1_plan
 from repro.sim import Simulator
@@ -150,6 +152,23 @@ class TestSharingBehavior:
         share = eng.sharing_summary()
         assert share.get("join:hj2", 0) == 1
         assert "join:hj3" not in share
+
+    def test_join_fold_feeds_row_batches_to_parent_join(self, ssb):
+        """A join packet folded onto a host join (hj2, residual on the
+        fact predicate) emits row batches through its residual operator;
+        the parent hj3, whose wider date range cannot fold, probes those
+        rows.  Both queries still answer exactly what the oracle does."""
+        host = q32("CHINA", "FRANCE", 1994, 1995)
+        consumer = dataclasses.replace(
+            q32("CHINA", "FRANCE", 1992, 1997), fact_predicate=Cmp("<", "lo_quantity", 25)
+        )
+        with fast_path(query_folding=True):
+            sim, eng = make_engine(ssb, QPIPE_SP)
+            handles = [eng.submit(host), eng.submit(consumer)]
+            sim.run()
+        assert sim.metrics.counts.get("fold_attach:join:hj2") == 1
+        for spec, h in zip((host, consumer), handles):
+            assert norm(h.results) == norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
 
     def test_cjoin_sp_shares_identical_packets(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
