@@ -63,9 +63,6 @@ class Simulator:
             for d in machine.disks
         }
         self.metrics = Metrics()
-        # Fused CPU charges are metered by the pool at the instant each
-        # part starts (identical order and values to unfused dispatch).
-        self.cpu.charge = self._charge_part
         self.current: SimThread | None = None
         self.threads: list[SimThread] = []
         self._daemons: set[SimThread] = set()
@@ -223,9 +220,6 @@ class Simulator:
             # Nobody will observe the failure through join(): abort the run.
             if self._pending_error is None:
                 self._pending_error = (thread, error)
-
-    def _charge_part(self, thread: SimThread, cycles: float, category: str) -> None:
-        self.metrics.charge_cpu(cycles, category, thread.query_id)
 
     def _dispatch(self, thread: SimThread, cmd: Any) -> None:
         # type-is instead of isinstance: the command classes are final by

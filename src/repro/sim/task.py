@@ -65,9 +65,7 @@ class SimThread:
         self.finish_time: float | None = None
         # Monotonic token used to invalidate stale unblock() calls.
         self._wake_token = 0
-        # Completion callback cached by the simulator's fast path (the
-        # slow path allocates a fresh, behaviorally identical closure per
-        # dispatch, as the seed implementation did).
+        # Pool-completion callback, built once per thread by the simulator.
         self._waker: Callable[[], None] | None = None
 
     @property

@@ -144,9 +144,12 @@ def test_arrangements_are_bit_identical(ssb, config_key):
     assert results[0] == results[1]  # bitwise: == on floats
 
 
-def _shard_outcomes(tables, mode: str) -> list:
-    """``execute_shard_query`` of the 2-shard Q3.2 case, one
-    ``(partial_state, svc_seconds)`` pair per shard."""
+@pytest.mark.parametrize("mode", ["hash", "range"])
+def test_shard_fingerprints_identical_arrangements_vs_naive(ssb, mode):
+    """A shard engine probing shared arrangements must be indistinguishable
+    from one building private hash tables: identical partial-aggregate
+    state and identical simulated service time on every shard, for either
+    placement mode."""
     from repro.parallel.cells import DatasetSpec
     from repro.query.ssb_queries import q32
     from repro.shard.partition import shard_tables
@@ -154,13 +157,16 @@ def _shard_outcomes(tables, mode: str) -> list:
     from repro.shard.worker import execute_shard_query
 
     spec = q32("CHINA", "FRANCE", 1993, 1996)
-    config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
-    return [
-        execute_shard_query(
-            shard_tables(tables, "lineorder", shard, 2, mode, 21), spec, config
-        )
-        for shard in range(2)
-    ]
+    outcomes = []
+    for arrange in (False, True):
+        with fast_path(arrangements=arrange):
+            config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
+            per_shard = []
+            for shard in range(2):
+                view = shard_tables(ssb.tables, "lineorder", shard, 2, mode, 21)
+                per_shard.append(execute_shard_query(view, spec, config))
+            outcomes.append(per_shard)
+    assert outcomes[0] == outcomes[1]  # bitwise: == on floats
 
 
 #: sha256 of the 2-shard Q3.2 outcomes (sorted partial-aggregate state and
@@ -177,23 +183,21 @@ def test_shard_outcomes_pinned(ssb, mode):
     """Zero-copy shard partitions (column slices and code/array gathers)
     give a shard engine the exact partial-aggregate state and simulated
     service time the row-built partitions gave, for either placement."""
+    from repro.parallel.cells import DatasetSpec
+    from repro.query.ssb_queries import q32
+    from repro.shard.partition import shard_tables
+    from repro.shard.spec import ShardConfig
+    from repro.shard.worker import execute_shard_query
+
+    spec = q32("CHINA", "FRANCE", 1993, 1996)
+    flat = []
     with fast_path():
-        outcomes = _shard_outcomes(ssb.tables, mode)
-    flat = [(sorted(state.items()), svc) for state, svc in outcomes]
+        config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
+        for shard in range(2):
+            view = shard_tables(ssb.tables, "lineorder", shard, 2, mode, 21)
+            state, svc = execute_shard_query(view, spec, config)
+            flat.append((sorted(state.items()), svc))
     assert hashlib.sha256(repr(flat).encode()).hexdigest() == SHARD_OUTCOME_DIGESTS[mode]
-
-
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_shard_fingerprints_identical_arrangements_vs_naive(ssb, mode):
-    """A shard engine probing shared arrangements must be indistinguishable
-    from one building private hash tables: identical partial-aggregate
-    state and identical simulated service time on every shard, for either
-    placement mode."""
-    outcomes = []
-    for arrange in (False, True):
-        with fast_path(arrangements=arrange):
-            outcomes.append(_shard_outcomes(ssb.tables, mode))
-    assert outcomes[0] == outcomes[1]  # bitwise: == on floats
 
 
 # ---------------------------------------------------------------------------
