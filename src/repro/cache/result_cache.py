@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.storage.page import Batch
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.query.subsume import FoldPlan, FoldPlanner
     from repro.sim.engine import Simulator
 
 #: name -> one-line description, for ``python -m repro list``.
@@ -154,15 +155,17 @@ class ResultCache:
     def contains_any(self, keys: Iterable[tuple]) -> bool:
         return any(k in self._entries for k in keys)
 
-    def _fold_candidates(self, sig: tuple, shape: tuple) -> tuple[list[CacheEntry], int]:
-        """The entries a fold search over ``sig`` tests -- its shape bucket
-        minus the exact key -- plus how many candidates a linear scan of
-        every entry with a node would have examined (the billed count)."""
+    def _fold_candidates(self, planner: "FoldPlanner") -> tuple[list[CacheEntry], int]:
+        """The entries a fold search for ``planner``'s node tests -- the
+        index's candidates minus the exact key -- plus how many candidates
+        a linear scan of every entry with a node would have examined (the
+        billed count)."""
+        sig = planner.node.signature
         n = len(self._providers)
         exact = self._entries.get(sig)
         if exact is not None and exact.node is not None:
             n -= 1
-        return self._providers.bucket(shape, exclude=sig), n
+        return self._providers.candidates(planner, exclude=sig), n
 
     def probe_subsuming(self, node) -> tuple[CacheEntry, "FoldPlan", int] | None:
         """Partial-hit probe: the cheapest entry whose recorded plan
@@ -171,12 +174,13 @@ class ResultCache:
         missed, so it never shadows a direct hit.  Ranking: fewest residual
         terms and no roll-up first, then smallest entry with the highest
         benefit-per-byte (cheapest to replay, most worth keeping hot), then
-        insertion order.  Only ``node``'s shape bucket is tested; the rest
-        are billed as examined, exactly as a scan of every entry would."""
+        insertion order.  Only the entries the provider index cannot rule
+        out (same shape, compatible pinned values) are tested; the rest are
+        billed as examined, exactly as a scan of every entry would."""
         from repro.query.subsume import FoldPlanner  # deferred: layering
 
         planner = FoldPlanner(node)
-        tested, candidates = self._fold_candidates(node.signature, planner.shape)
+        tested, candidates = self._fold_candidates(planner)
         planner.skip(candidates - len(tested))
         for entry in tested:
             planner.consider(
@@ -199,14 +203,12 @@ class ResultCache:
     def has_subsuming(self, node) -> bool:
         """Silent fold-hit test (no counters) -- the routing layer's
         "would folding likely serve this query from cache?" probe."""
-        from repro.query.subsume import constraint_maps, fold_plan, shape_key
+        from repro.query.subsume import FoldPlanner, fold_plan  # deferred: layering
 
-        tested, _ = self._fold_candidates(node.signature, shape_key(node))
-        if not tested:
-            return False
-        maps = constraint_maps(node)
+        planner = FoldPlanner(node)
+        tested, _ = self._fold_candidates(planner)
         parses = self._providers.parses
-        return any(fold_plan(node, e.node, parses, maps) is not None for e in tested)
+        return any(fold_plan(node, e.node, parses, planner.maps) is not None for e in tested)
 
     # -- fills ----------------------------------------------------------
     def begin_fill(self, key: tuple) -> bool:
@@ -321,10 +323,12 @@ class ResultCache:
         )
 
 
-def cached_query_centric_plan(storage, spec):
+def cached_query_centric_plan(storage, spec, folding: bool):
     """The spec's query-centric plan when a result-cache hit is likely for
     it -- its root signature (or, under a sort root, the aggregate below)
-    is resident in ``storage``'s cache -- else ``None``.
+    is resident in ``storage``'s cache, or, when ``folding`` (the serving
+    query-centric engine folds queries), a resident entry subsumes one of
+    them -- else ``None``.
 
     This is the routing layer's cache discount (HybridEngine and the
     service router both call it): a likely hit replays materialized pages
@@ -344,10 +348,9 @@ def cached_query_centric_plan(storage, spec):
         return plan
     # Under query folding, a *subsuming* entry serves the query the same
     # way (residual replay at memory-read cost), so the routing discount
-    # applies to partial hits too.
-    from repro.sim.fastpath import query_folding_default  # deferred: layering
-
-    if query_folding_default():
+    # applies to partial hits too -- but only if the engine that will
+    # serve the query folds.
+    if folding:
         roots = [plan.child, plan] if isinstance(plan, SortNode) else [plan]
         if any(cache.has_subsuming(r) for r in roots):
             return plan

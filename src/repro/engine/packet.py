@@ -11,7 +11,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.engine.wop import WindowOfOpportunity
-from repro.query.subsume import shape_key
+from repro.query.subsume import pin_key, shape_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.query.plan import PlanNode, ScanNode
@@ -35,6 +35,7 @@ class Packet:
         "started_emitting",
         "finished",
         "_shape",
+        "_pins",
     )
 
     def __init__(self, node: "PlanNode", query: "Query", stage_name: str, wop: WindowOfOpportunity):
@@ -49,6 +50,7 @@ class Packet:
         self.started_emitting = False
         self.finished = False
         self._shape: tuple | None = None
+        self._pins: tuple[tuple, tuple] | None = None
 
     @property
     def shape(self) -> tuple:
@@ -57,6 +59,15 @@ class Packet:
         if self._shape is None:
             self._shape = shape_key(self.node)
         return self._shape
+
+    @property
+    def pins(self) -> tuple[tuple, tuple]:
+        """The node's pinned columns and values
+        (:func:`repro.query.subsume.pin_key`), computed on first use: a
+        host pinned to other values than a consumer's cannot fold it."""
+        if self._pins is None:
+            self._pins = pin_key(self.node)
+        return self._pins
 
     # ------------------------------------------------------------------
     @property

@@ -223,7 +223,7 @@ class Stage:
             exchange = host.exchange
             if exchange is None or exchange.kind != "spl":
                 continue  # pull-model only: a FIFO host would pay the copies
-            if host.shape != planner.shape:
+            if host.shape != planner.shape or not planner.may_fold(host.pins):
                 planner.skip()  # cannot fold, but billed as examined
                 continue
             planner.consider(host.node, host, tie_break=(host.packet_id,))

@@ -74,6 +74,7 @@ __all__ = [
     "constraint_maps",
     "fold_plan",
     "normalize",
+    "pin_key",
     "predicate_subsumes",
     "shape_key",
     "split_range",
@@ -133,6 +134,15 @@ class _Constraint:
     def add_values(self, vals: Iterable[Any]) -> None:
         vs = frozenset(vals)
         self.values = vs if self.values is None else (self.values & vs)
+
+    def merge(self, other: "_Constraint") -> None:
+        """Intersect ``other``'s region into this one."""
+        if other.lo is not None:
+            self.add_lo(other.lo, other.lo_open)
+        if other.hi is not None:
+            self.add_hi(other.hi, other.hi_open)
+        if other.values is not None:
+            self.add_values(other.values)
 
     # -- membership / containment ----------------------------------------
     def admits(self, x: Any) -> bool:
@@ -233,12 +243,7 @@ def _constraint_map(
         if merged is None:
             cols[col] = c
         else:
-            if c.lo is not None:
-                merged.add_lo(c.lo, c.lo_open)
-            if c.hi is not None:
-                merged.add_hi(c.hi, c.hi_open)
-            if c.values is not None:
-                merged.add_values(c.values)
+            merged.merge(c)
     return cols, opaque
 
 
@@ -786,16 +791,107 @@ def _input_shape(node: PlanNode) -> tuple:
     return node.signature
 
 
+# ---------------------------------------------------------------------------
+# Provider index: pinned values
+# ---------------------------------------------------------------------------
+#: One predicate slot's per-column constraints; ``None`` when the slot's
+#: select chain cannot be merged (incomparable bounds), so it pins nothing.
+_SlotCols = dict[str, _Constraint] | None
+
+
+def _slots(node: PlanNode, maps: ConstraintMaps | None) -> list[_SlotCols]:
+    """The per-column constraints of every predicate slot :func:`fold_plan`
+    pairs up, in a fixed walk order: the select chain of each operator
+    input (after :func:`_unwrap_selects`), then, for a star input or root,
+    each dimension predicate and the fact predicate; join inputs recurse.
+    Two nodes of one :func:`shape_key` have aligned slot lists."""
+    out: list[_SlotCols] = []
+    _root_slots(node, maps, out)
+    return out
+
+
+def _root_slots(node: PlanNode, maps: ConstraintMaps | None, out: list) -> None:
+    if isinstance(node, (AggregateNode, SortNode)):
+        _input_slots(node.child, maps, out)
+    elif isinstance(node, CJoinNode):
+        for d in node.dims:
+            out.append(_slot_cols([d.predicate], maps))
+        out.append(_slot_cols([node.fact_predicate], maps))
+    elif isinstance(node, HashJoinNode):
+        _input_slots(node.probe, maps, out)
+        _input_slots(node.build, maps, out)
+
+
+def _input_slots(node: PlanNode, maps: ConstraintMaps | None, out: list) -> None:
+    chain = []
+    while isinstance(node, SelectNode):
+        chain.append(node.predicate)
+        node = node.child
+    out.append(_slot_cols(chain, maps))
+    if isinstance(node, (CJoinNode, HashJoinNode)):
+        _root_slots(node, maps, out)
+
+
+def _slot_cols(preds: list[Expr | None], maps: ConstraintMaps | None) -> _SlotCols:
+    """The merged per-column constraints of a slot's predicates, from
+    their parses (a single predicate's map is shared, not copied)."""
+    parses = [_parsed(p, maps) for p in preds if p is not None]
+    if not parses:
+        return {}
+    if len(parses) == 1:
+        return parses[0].cols
+    merged: dict[str, _Constraint] = {}
+    try:
+        for parsed in parses:
+            for col, c in parsed.cols.items():
+                merged.setdefault(col, _Constraint()).merge(c)
+    except TypeError:
+        return None
+    return merged
+
+
+def pin_key(node: PlanNode, maps: ConstraintMaps | None = None) -> tuple[tuple, tuple]:
+    """``(pinned columns, pinned values)`` of a provider: every predicate
+    slot's single-value equality constraints (``=`` or a one-element set),
+    as ``(slot, column)`` pairs and the values, in slot then column order.
+    A consumer whose region on a pinned column is one *other* value, or
+    who leaves a pinned column unconstrained, cannot be folded by this
+    provider (:meth:`FoldPlanner.pin_probe`)."""
+    cols: list[tuple[int, str]] = []
+    vals: list[Any] = []
+    for i, slot in enumerate(_slots(node, maps)):
+        if not slot:
+            continue
+        for col in sorted(slot):
+            vs = slot[col].values
+            if vs is not None and len(vs) == 1:
+                cols.append((i, col))
+                vals.extend(vs)
+    return tuple(cols), tuple(vals)
+
+
+def _point(c: _Constraint) -> tuple | None:
+    """``(v,)`` when ``c``'s region is exactly the single value ``v``."""
+    if c.values is None or len(c.values) != 1:
+        return None
+    (v,) = c.values
+    try:
+        return (v,) if c.admits(v) else None
+    except TypeError:  # incomparable bounds: undecidable
+        return None
+
+
 class ProviderIndex:
     """Fold providers (a result cache's entries) indexed for search.  They
-    are bucketed by :func:`shape_key`, so a consumer tests only the one
-    bucket that can hold a provider folding it, and their predicates are
-    parsed once, into :attr:`parses`.  Providers that share predicate
-    objects -- the sort, aggregate and star entries one query leaves
-    behind -- share a parse.  Parses are reference counted: a parse, and
-    the predicate it pins, lives exactly as long as some provider holds
-    that predicate, so an identity key never goes stale.  Kept per owner,
-    never process-wide."""
+    are bucketed by :func:`shape_key`, then grouped by their pinned
+    columns and values (:func:`pin_key`), so a consumer tests only the
+    providers whose shape and equality predicates could subsume it
+    (:meth:`candidates`).  Their predicates are parsed once, into
+    :attr:`parses`.  Providers that share predicate objects -- the sort,
+    aggregate and star entries one query leaves behind -- share a parse.
+    Parses are reference counted: a parse, and the predicate it keeps
+    alive, lives exactly as long as some provider holds that predicate, so an
+    identity key never goes stale.  Kept per owner, never process-wide."""
 
     __slots__ = ("parses", "_refs", "_buckets", "_size")
 
@@ -803,13 +899,12 @@ class ProviderIndex:
         #: the providers' predicates, parsed (pass as ``provider_maps``)
         self.parses: ConstraintMaps = {}
         self._refs: dict[int, int] = {}
-        self._buckets: dict[tuple, dict[Any, Any]] = {}  # shape -> {key: token}
+        #: shape -> pinned columns -> pinned values -> {key: token}
+        self._buckets: dict[tuple, dict[tuple, dict[tuple, dict[Any, Any]]]] = {}
         self._size = 0
 
     def add(self, key: Any, node: PlanNode, token: Any) -> None:
         """Register provider ``token`` under ``key`` (unique per index)."""
-        self._buckets.setdefault(shape_key(node), {})[key] = token
-        self._size += 1
         for p in _predicates(node):
             k = id(p)
             if k in self._refs:
@@ -817,14 +912,26 @@ class ProviderIndex:
             else:
                 self._refs[k] = 1
                 self.parses[k] = _Parsed(p)
+        cols, vals = pin_key(node, self.parses)
+        groups = self._buckets.setdefault(shape_key(node), {})
+        groups.setdefault(cols, {}).setdefault(vals, {})[key] = token
+        self._size += 1
 
     def remove(self, key: Any, node: PlanNode) -> None:
         """Undo :meth:`add` of ``key``, whose plan is ``node``."""
-        shape = shape_key(node)  # recomputed: rare, and saves a key per provider
-        bucket = self._buckets[shape]
-        del bucket[key]
-        if not bucket:
-            del self._buckets[shape]
+        # Shape and pins recomputed: rare, and saves keys per provider.
+        shape = shape_key(node)
+        cols, vals = pin_key(node, self.parses)
+        groups = self._buckets[shape]
+        by_vals = groups[cols]
+        providers = by_vals[vals]
+        del providers[key]
+        if not providers:
+            del by_vals[vals]
+            if not by_vals:
+                del groups[cols]
+                if not groups:
+                    del self._buckets[shape]
         self._size -= 1
         for p in _predicates(node):
             k = id(p)
@@ -833,13 +940,27 @@ class ProviderIndex:
                 del self._refs[k]
                 del self.parses[k]
 
-    def bucket(self, shape: tuple, exclude: Any = None) -> list:
-        """The providers of ``shape`` in registration order, except the
-        one under key ``exclude``."""
-        bucket = self._buckets.get(shape)
-        if not bucket:
+    def candidates(self, planner: "FoldPlanner", exclude: Any = None) -> list:
+        """The providers that may fold ``planner``'s node, except the one
+        under key ``exclude``: its shape bucket minus every pinned group
+        :meth:`FoldPlanner.pin_probe` rules out.  Every provider hidden
+        here has ``fold_plan(...) is None``."""
+        groups = self._buckets.get(planner.shape)
+        if not groups:
             return []
-        return [t for k, t in bucket.items() if k != exclude]
+        out = []
+        for cols, by_vals in groups.items():
+            probe = planner.pin_probe(cols)
+            if probe is False:
+                continue
+            if probe is True:
+                subs: Iterable[dict] = by_vals.values()
+            else:
+                sub = by_vals.get(probe)
+                subs = (sub,) if sub else ()
+            for sub in subs:
+                out.extend(t for k, t in sub.items() if k != exclude)
+        return out
 
     def clear(self) -> None:
         self.parses.clear()
@@ -858,10 +979,11 @@ class FoldPlanner:
     """Ranks candidate providers for one consumer node and keeps the
     cheapest fold.  ``examined`` counts the candidates the search covered
     so the engine can charge ``CostModel.fold_probe`` per candidate: both
-    those tested by :meth:`consider` and those a shape index ruled out
-    unseen (:meth:`skip`), so indexing changes host time, never the bill."""
+    those tested by :meth:`consider` and those a shape or pin index ruled
+    out unseen (:meth:`skip`), so indexing changes host time, never the
+    bill."""
 
-    __slots__ = ("node", "shape", "examined", "_best", "_maps")
+    __slots__ = ("node", "shape", "examined", "_best", "_maps", "_slots", "_probes")
 
     def __init__(self, node: PlanNode):
         self.node = node
@@ -870,7 +992,50 @@ class FoldPlanner:
         self.shape = shape_key(node)
         self.examined = 0
         self._best: tuple[tuple, Any, FoldPlan] | None = None
-        self._maps: ConstraintMaps | None = None  # parsed on the first test
+        self._maps: ConstraintMaps | None = None  # parsed on first use
+        self._slots: list[_SlotCols] | None = None
+        self._probes: dict[tuple, tuple | bool] = {}  # pinned columns -> pin_probe
+
+    @property
+    def maps(self) -> ConstraintMaps:
+        """The consumer's :func:`constraint_maps`, parsed on first use."""
+        if self._maps is None:
+            self._maps = constraint_maps(self.node)
+        return self._maps
+
+    def pin_probe(self, cols: tuple) -> tuple | bool:
+        """Which providers pinned on ``cols`` (a :func:`pin_key` column
+        tuple) may fold the consumer: ``False`` -- none, the consumer
+        leaves one of those columns unconstrained; a values tuple -- only
+        providers pinned to exactly those values, the consumer's own
+        single value on every column; ``True`` -- any of them (a
+        multi-value set, an interval, or an empty region somewhere)."""
+        hit = self._probes.get(cols)
+        if hit is not None:
+            return hit
+        if self._slots is None:
+            self._slots = _slots(self.node, self.maps)
+        vals: list[Any] | None = []
+        for i, col in cols:
+            slot = self._slots[i]
+            c = slot.get(col) if slot is not None else None
+            if slot is not None and c is None:
+                probe: tuple | bool = False  # predicate_subsumes fails here
+                break
+            point = None if c is None or vals is None else _point(c)
+            if point is None:
+                vals = None  # test them all, unless a later column hides
+            else:
+                vals.append(point[0])
+        else:
+            probe = True if vals is None else tuple(vals)
+        self._probes[cols] = probe
+        return probe
+
+    def may_fold(self, pins: tuple[tuple, tuple]) -> bool:
+        """The :meth:`pin_probe` rule for one provider's :func:`pin_key`."""
+        probe = self.pin_probe(pins[0])
+        return probe is True or probe == pins[1]
 
     def consider(
         self,
@@ -885,9 +1050,7 @@ class FoldPlanner:
         provider's pre-parsed predicates, if kept
         (:attr:`ProviderIndex.parses`)."""
         self.examined += 1
-        if self._maps is None:
-            self._maps = constraint_maps(self.node)
-        plan = fold_plan(self.node, provider_node, provider_maps, self._maps)
+        plan = fold_plan(self.node, provider_node, provider_maps, self.maps)
         if plan is None:
             return
         score = plan.cost_rank() + tie_break + (self.examined,)
@@ -895,7 +1058,7 @@ class FoldPlanner:
             self._best = (score, token, plan)
 
     def skip(self, n: int = 1) -> None:
-        """Count ``n`` providers ruled out by shape without a test."""
+        """Count ``n`` providers ruled out by shape or pins without a test."""
         self.examined += n
 
     def best(self) -> tuple[Any, FoldPlan] | None:

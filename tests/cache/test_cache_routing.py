@@ -1,14 +1,21 @@
 """Cache-aware routing (hybrid engine + service layer) and run-for-run
 determinism of cache-enabled service runs."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.workload import QueryJob
 from repro.data import generate_ssb
+from repro.engine.config import QPIPE_SP
 from repro.engine.hybrid import HybridEngine
 from repro.query.ssb_queries import q32
-from repro.server.service import job_factory, recurring_job_factory, serve
+from repro.server.admission import QueuedQuery
+from repro.server.router import StaticThresholdPolicy
+from repro.server.service import QueryService, job_factory, recurring_job_factory, serve
 from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
+from repro.sim.fastpath import fast_path
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
 
@@ -68,6 +75,50 @@ class TestHybridDiscount:
         hybrid.submit(q32(*SPEC_ARGS))
         sim.run()
         assert hybrid.routed == {"query-centric": 1, "gqp": 1}
+
+
+#: a cached broad Q3.2 subsumes the narrow one (years 1994-1995 only)
+BROAD = ("CHINA", "FRANCE", 1993, 1996)
+NARROW = ("CHINA", "FRANCE", 1994, 1995)
+
+
+class TestFoldDiscountFollowsServingEngine:
+    """The fold-hit routing discount applies exactly when the query-centric
+    engine that will serve the query folds -- whatever the process-wide
+    folding switch says (set here to the opposite)."""
+
+    @pytest.mark.parametrize("engine_folds", [True, False])
+    def test_hybrid(self, ssb, engine_folds):
+        qc = replace(QPIPE_SP, query_folding=engine_folds)
+        with fast_path(query_folding=not engine_folds):
+            sim = Simulator(MachineSpec())
+            storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, cache_config())
+            hybrid = HybridEngine(sim, storage, threshold=1, qc_config=qc)
+            hybrid.submit(q32(*BROAD))  # below threshold: query-centric, fills
+            sim.run()
+            hybrid.submit(q32("JAPAN", "BRAZIL", 1992, 1995))
+            h = hybrid.submit(q32(*NARROW))  # saturated: only a fold hit discounts
+            sim.run()
+        assert ("cache-discount" in hybrid.routed) is engine_folds
+        assert hybrid.routed["gqp"] == (0 if engine_folds else 1)
+        assert h.query.cache_served is engine_folds
+
+    @pytest.mark.parametrize("engine_folds", [True, False])
+    def test_service(self, ssb, engine_folds):
+        qc = replace(QPIPE_SP, query_folding=engine_folds)
+        with fast_path(query_folding=not engine_folds):
+            service = QueryService(
+                ssb.tables,
+                StaticThresholdPolicy(MachineSpec(), threshold=0),  # else GQP
+                storage_config=cache_config(),
+                qc_config=qc,
+            )
+            service.query_centric.submit(q32(*BROAD))
+            service.sim.run()
+            service._submit(QueuedQuery(0, QueryJob(spec=q32(*NARROW)), service.sim.now))
+            service.sim.run()
+        assert service.metrics.cache_routed == (1 if engine_folds else 0)
+        assert service.handles[0].query.cache_served is engine_folds
 
 
 class TestServiceDiscount:

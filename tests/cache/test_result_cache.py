@@ -167,13 +167,17 @@ class TestStats:
 # ----------------------------------------------------------------------
 def _node_pool():
     """Plan nodes of several shapes; within a shape, weaker and stronger
-    predicates and finer and coarser groupings, so real folds occur."""
-    from repro.query.expr import Between, Cmp, Col
+    predicates and finer and coarser groupings, so real folds occur.  The
+    Q3.2-like stars and join trees pin two dimensions by equality (or
+    leave them as a set or unconstrained), so the pinned-value groups of
+    the provider index hold several providers each."""
+    from repro.query.expr import Between, Cmp, Col, InSet
     from repro.query.plan import (
         AggregateNode,
         AggSpec,
         CJoinNode,
         DimJoinSpec,
+        HashJoinNode,
         ScanNode,
         SelectNode,
         SortNode,
@@ -200,6 +204,28 @@ def _node_pool():
             nodes.append(CJoinNode(fact, (dim,), ("a", "b"), fact_pred))
     for pred in preds[:3]:
         nodes.append(SortNode(AggregateNode(select(pred), ("a",), aggs), (("a", True),)))
+    # Q3.2-like: d.x and e.y play c_nation and s_nation.
+    d = Table("d", Schema([Column("k"), Column("x")], row_bytes=16), [(1, 1)])
+    e = Table("e", Schema([Column("j"), Column("y")], row_bytes=16), [(1, 1)])
+    xs = (Cmp("=", "x", 1), Cmp("=", "x", 2), InSet("x", (1, 2)))
+    ys = (Cmp("=", "y", 1), Cmp("=", "y", 2), None)
+    for px in xs:
+        for py in ys:
+            star = CJoinNode(
+                fact,
+                (DimJoinSpec("d", "a", "k", px, ("x",)), DimJoinSpec("e", "b", "j", py, ("y",))),
+                ("a", "b", "c"),
+            )
+            nodes.append(star)
+            nodes.append(AggregateNode(star, ("x", "y"), aggs))
+            build_e = ScanNode(e) if py is None else SelectNode(ScanNode(e), py)
+            tree = HashJoinNode(
+                HashJoinNode(ScanNode(fact), SelectNode(ScanNode(d), px), "a", "k"),
+                build_e,
+                "b",
+                "j",
+            )
+            nodes.append(AggregateNode(tree, ("x", "y"), aggs))
     return nodes
 
 
@@ -230,20 +256,29 @@ def _reference_probe(cache, node):
 
 def _assert_index_exact(cache):
     """The provider index mirrors the resident entries with a node: same
-    buckets, no empty bucket lingering, and exactly their predicates
-    parsed."""
-    from repro.query.subsume import constraint_maps, shape_key
+    shape buckets and pinned-value groups (pins recomputed from fresh
+    parses), no empty bucket or group lingering, and exactly their
+    predicates parsed."""
+    from repro.query.subsume import constraint_maps, pin_key, shape_key
 
     index = cache._providers
     expected: dict = {}
     parsed: set = set()
     for key, entry in cache._entries.items():
         if entry.node is not None:
-            expected.setdefault(shape_key(entry.node), {})[key] = entry
+            cols, vals = pin_key(entry.node)
+            groups = expected.setdefault(shape_key(entry.node), {})
+            groups.setdefault(cols, {}).setdefault(vals, {})[key] = entry
             parsed |= set(constraint_maps(entry.node))
     assert index._buckets == expected
-    assert all(index._buckets.values())
-    assert len(index) == sum(len(b) for b in expected.values())
+    for groups in index._buckets.values():
+        assert groups
+        for by_vals in groups.values():
+            assert by_vals
+            assert all(by_vals.values())
+    assert len(index) == sum(
+        len(p) for g in expected.values() for v in g.values() for p in v.values()
+    )
     assert set(index.parses) == parsed == set(index._refs)
 
 
@@ -274,7 +309,8 @@ def test_shape_index_matches_linear_scan(policy, ops):
     """Random admit / replace / evict / invalidate / clear sequences: after
     every step the index mirrors the resident entries exactly, and both
     fold probes answer as the linear scan does -- same entry, same plan,
-    same billed ``examined``."""
+    same billed ``examined`` -- although shape buckets and pinned-value
+    groups hide most entries from the test."""
     _, cache = make_cache(capacity=2000.0, policy=policy, max_entry_fraction=0.5)
     for op in ops:
         kind = op[0]
@@ -295,3 +331,33 @@ def test_shape_index_matches_linear_scan(policy, ops):
         else:
             cache.clear()
         _assert_index_exact(cache)
+
+
+def test_pinned_groups_hide_other_values():
+    """A consumer pinned to ``x = 1, y = 1`` tests only the providers of
+    its shape not pinned to another value; one that leaves a pinned column
+    unconstrained skips that whole group; both bill every entry."""
+    from repro.query.expr import Cmp
+    from repro.query.plan import CJoinNode
+    from repro.query.subsume import FoldPlanner
+
+    _, cache = make_cache(capacity=1e9)
+    stars = [n for n in NODES if isinstance(n, CJoinNode) and len(n.dims) == 2]
+    for node in stars:
+        cache.admit(node.signature, entry_batches(), 10.0, 1.0, frozenset({"t"}), "cjoin", node)
+    pinned = stars[0]  # x = 1, y = 1
+    planner = FoldPlanner(pinned)
+    tested = cache._providers.candidates(planner, exclude=pinned.signature)
+    other = {Cmp("=", "x", 2).signature, Cmp("=", "y", 2).signature}
+    assert tested
+    assert all(
+        d.predicate is None or d.predicate.signature not in other
+        for e in tested
+        for d in e.node.dims
+    )
+    assert len(tested) < len(stars) - 1
+    hit = cache.probe_subsuming(pinned)
+    assert hit is not None and hit[2] == len(stars) - 1  # billed as a scan
+    broad = stars[-1]  # x IN (1, 2), y unconstrained
+    tested = cache._providers.candidates(FoldPlanner(broad), exclude=broad.signature)
+    assert all(e.node.dims[1].predicate is None for e in tested)

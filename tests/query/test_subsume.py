@@ -43,11 +43,13 @@ from repro.query.plan import (
 from repro.query.subsume import (
     FoldPlan,
     FoldPlanner,
+    ProviderIndex,
     ResidualOperator,
     and_of,
     conjuncts,
     fold_plan,
     normalize,
+    pin_key,
     predicate_subsumes,
     shape_key,
     split_range,
@@ -346,12 +348,16 @@ DIM = Table("d", DIM_SCHEMA, [(3, 4)])
 #: the inner dimension of a nested join tree (distinct column names)
 INNER_DIM = Table("e", Schema([Column("j"), Column("y")], row_bytes=16), [(3, 4)])
 
+#: equality pins (``=`` and sets) sit on the columns the ranges draw, so
+#: the pinned-value index is exercised against ranges, sets and points
 fact_preds = st.sampled_from(
     [None, Between("a", 0, 5), Between("a", 1, 3), Cmp(">", "b", 0),
-     And(Between("a", 1, 3), Cmp(">", "b", 0)), InSet("c", (1, 2))]
+     And(Between("a", 1, 3), Cmp(">", "b", 0)), InSet("c", (1, 2)),
+     Cmp("=", "a", 2), Cmp("=", "a", 3), InSet("a", (2, 3))]
 )
 dim_preds = st.sampled_from(
-    [None, Between("x", 0, 5), Between("x", 1, 2), Cmp("=", "k", 3)]
+    [None, Between("x", 0, 5), Between("x", 1, 2), Cmp("=", "k", 3),
+     Cmp("=", "x", 1), Cmp("=", "x", 2), InSet("x", (1, 2))]
 )
 inner_dim_preds = st.sampled_from([None, Between("y", 0, 5), Between("y", 1, 2)])
 
@@ -540,6 +546,92 @@ def test_fold_implies_equal_shape_keys(pair):
     event("folds" if folded else "does not fold")
     if folded:
         assert shape_key(consumer) == shape_key(provider)
+
+
+def _pin_hidden(consumer, provider):
+    """Does the pinned-value rule hide ``provider`` from ``consumer``'s
+    search?  Asked of both sites -- a one-provider :class:`ProviderIndex`
+    (the cache) and :meth:`FoldPlanner.may_fold` (the host registry) --
+    which must agree.  Only providers of the consumer's shape reach it."""
+    planner = FoldPlanner(consumer)
+    index = ProviderIndex()
+    index.add("p", provider, provider)
+    by_index = not index.candidates(planner)
+    by_host = not planner.may_fold(pin_key(provider))
+    assert by_index == by_host
+    return by_host
+
+
+def _agg_over(node):
+    return AggregateNode(node, ("a", "b"), _aggs()[:1])
+
+
+#: a star pinned on its dimension, under one or two selects
+_PINNED = _star(None, Cmp("=", "x", 1), ())
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=plan_pairs())
+# A single-point range is not a pin: the provider x = 3 must be tested.
+@example(pair=(_star(None, Between("x", 3, 3)), _star(None, Cmp("=", "x", 3))))
+# A multi-value set is not a pin either (and {1, 2} does not fit in {1}).
+@example(pair=(_star(None, InSet("x", (1, 2))), _star(None, Cmp("=", "x", 1))))
+# An empty region (an empty set, or one value outside a bound) is
+# subsumed by anything.
+@example(pair=(
+    _star(None, And(Cmp("=", "x", 2), InSet("x", (1, 3)))),
+    _star(None, Cmp("=", "x", 3)),
+))
+@example(pair=(
+    _star(None, And(Cmp("=", "x", 2), Cmp(">", "x", 5))),
+    _star(None, Cmp("=", "x", 3)),
+))
+# Select chains above a star: slots stay aligned with the dimensions.
+@example(pair=(
+    _agg_over(SelectNode(SelectNode(_PINNED, Cmp("=", "a", 2)), Cmp(">", "b", 0))),
+    _agg_over(SelectNode(_PINNED, Cmp("=", "a", 2))),
+))
+@example(pair=(
+    _agg_over(SelectNode(_star(None, Cmp("=", "x", 2), ()), Cmp("=", "a", 2))),
+    _agg_over(SelectNode(_PINNED, Cmp("=", "a", 2))),
+))
+@example(pair=(_agg_over(_PINNED), _agg_over(SelectNode(_PINNED, Cmp("=", "a", 2)))))
+@example(pair=(_agg_over(SelectNode(_PINNED, Cmp("=", "a", 2))), _agg_over(_PINNED)))
+def test_pin_rule_hides_only_non_folds(pair):
+    """The pinned-value index may only hide providers that could not fold:
+    hidden by the pin rule implies ``fold_plan(c, p) is None``."""
+    consumer, provider = pair
+    assume(shape_key(consumer) == shape_key(provider))
+    folded = fold_plan(consumer, provider) is not None
+    hidden = _pin_hidden(consumer, provider)
+    event("hidden" if hidden else "folds" if folded else "tested, does not fold")
+    if hidden:
+        assert not folded
+
+
+def test_pin_rule_cases():
+    """The three probe cases, and the edge cases that must stay tested."""
+    eq3 = _star(None, Cmp("=", "x", 3))
+    # Consumer pins the same value: tested (and folds); another: hidden.
+    assert not _pin_hidden(_star(Between("a", 1, 3), Cmp("=", "x", 3)), eq3)
+    assert _pin_hidden(_star(None, Cmp("=", "x", 4)), eq3)
+    # Consumer leaves the pinned column unconstrained: hidden.
+    assert _pin_hidden(_star(None, None), eq3)
+    # Consumer constrains it to an interval: tested.
+    assert not _pin_hidden(_star(None, Between("x", 0, 5)), eq3)
+    # Single-point range, empty regions: tested, and all fold.
+    point = _star(None, Between("x", 3, 3))
+    empty = _star(None, And(Cmp("=", "x", 2), InSet("x", (1, 3))))
+    outside = _star(None, And(Cmp("=", "x", 2), Cmp(">", "x", 5)))
+    for consumer in (point, empty, outside):
+        assert not _pin_hidden(consumer, eq3)
+        assert fold_plan(consumer, eq3) is not None
+    # A select chain merges into one slot: a = 2 AND a = 3 is empty.
+    chained = _agg_over(SelectNode(SelectNode(_PINNED, Cmp("=", "a", 2)), Cmp("=", "a", 3)))
+    provider = _agg_over(SelectNode(_PINNED, Cmp("=", "a", 3)))
+    assert not _pin_hidden(chained, provider)
+    assert fold_plan(chained, provider) is not None
+    assert pin_key(provider) == (((0, "a"), (1, "x")), (3, 1))
 
 
 def test_shape_key_erases_predicates_and_separates_kinds():
